@@ -49,7 +49,6 @@ from .dctree import (
 )
 from .metrics import (
     ALL_METRICS,
-    AveragedSeries,
     EFFICIENCY_METRICS,
     EfficiencySeries,
     L1Comparison,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,7 +71,7 @@ def cmd_generate(args) -> int:
         make_realization(
             args.dist,
             args.n,
-            as_fraction(args.occupancy),
+            args.occupancy,
             derive_seed(args.seed, k, 0, "capacities"),
         )
         for k in range(args.count)
@@ -150,7 +150,7 @@ def cmd_tree(args) -> int:
     if args.tree == BALANCED and args.fraction is not None:
         raise InvalidParameterError("--fraction only applies to --tree hlT")
     if args.tree == HEAD_LEFT:
-        fraction = as_fraction(args.fraction if args.fraction is not None else "0.5")
+        fraction = args.fraction if args.fraction is not None else Fraction(1, 2)
     else:
         fraction = None
     tree = build_tree(
@@ -177,22 +177,29 @@ def cmd_tree(args) -> int:
 # ---------------------------------------------------------------------------
 # experiment
 
-_CONFIG_KEYS = (
-    "n_rooms",
-    "dist",
-    "occupancy",
-    "rate",
-    "tree_alg",
-    "sort",
-    "sort_seed",
-    "head_fraction",
-    "min_size",
-    "rounding",
-    "realizations",
-    "master_seed",
-    "sweep",
-    "aggregation",
-)
+def _optional_fraction(text: str) -> Fraction | None:
+    return None if text.lower() == "none" else as_fraction(text)
+
+
+#: Config key -> converter of its text value.
+_CONFIG_KEYS = {
+    "n_rooms": int,
+    "dist": str,
+    "occupancy": as_fraction,
+    "rate": int,
+    "tree_alg": str,
+    "sort": str,
+    "sort_seed": int,
+    "head_fraction": _optional_fraction,
+    "min_size": int,
+    "rounding": str,
+    "realizations": int,
+    "master_seed": int,
+    "sweep": str,
+    "aggregation": str,
+}
+
+_PARAM_FIELDS = frozenset(f.name for f in fields(ExperimentParams))
 
 
 @dataclass(frozen=True)
@@ -217,52 +224,38 @@ def parse_config(text: str) -> ExperimentConfig:
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {value!r}") from None
 
-    tree_alg = raw.get("tree_alg", HEAD_LEFT)
+    tree_alg = values.get("tree_alg", HEAD_LEFT)
     algorithms = (HEAD_LEFT, BALANCED) if tree_alg == "both" else (tree_alg,)
-    head_fraction = raw.get("head_fraction")
-    if head_fraction is not None and head_fraction.lower() == "none":
-        head_fraction = None
+    head_fraction = values.get("head_fraction")
     if BALANCED in algorithms and len(algorithms) == 1 and head_fraction is not None:
         raise ConfigError("tree_alg=blT takes no head_fraction")
+    if algorithms[0] == HEAD_LEFT and head_fraction is None:
+        head_fraction = Fraction(1, 2)
 
-    sort_seed = int(raw["sort_seed"]) if "sort_seed" in raw else None
-    sort = _sort_criterion(raw.get("sort", "specific-weight"), sort_seed)
-
-    kwargs = dict(tree_alg=algorithms[0], sort=sort)
-    if algorithms[0] == HEAD_LEFT:
-        kwargs["head_fraction"] = (
-            as_fraction(head_fraction) if head_fraction is not None else Fraction(1, 2)
-        )
-    else:
-        kwargs["head_fraction"] = None
-    if "n_rooms" in raw:
-        kwargs["n_rooms"] = int(raw["n_rooms"])
-    if "dist" in raw:
-        kwargs["dist"] = raw["dist"]
-    if "occupancy" in raw:
-        kwargs["occupancy"] = as_fraction(raw["occupancy"])
-    if "rate" in raw:
-        kwargs["rate"] = int(raw["rate"])
-    if "min_size" in raw:
-        kwargs["min_size"] = int(raw["min_size"])
-    if "rounding" in raw:
-        kwargs["rounding"] = raw["rounding"]
-    if "realizations" in raw:
-        kwargs["realizations"] = int(raw["realizations"])
-    if "master_seed" in raw:
-        kwargs["master_seed"] = int(raw["master_seed"])
+    kwargs = {key: v for key, v in values.items() if key in _PARAM_FIELDS}
+    kwargs.update(
+        tree_alg=algorithms[0],
+        sort=_sort_criterion(values.get("sort", "specific-weight"), values.get("sort_seed")),
+        head_fraction=head_fraction,
+    )
     try:
         params = ExperimentParams(**kwargs)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sweep_var = raw.get("sweep")
+    sweep_var = values.get("sweep")
     if sweep_var is not None and sweep_var not in ("o", "r", "s", "f"):
         raise ConfigError(f"sweep must be one of o, r, s, f; got {sweep_var!r}")
     if sweep_var == "f" and algorithms != (HEAD_LEFT,):
         raise ConfigError("the head fraction can only be swept with tree_alg=hlT")
-    aggregation = raw.get("aggregation", "mean")
+    aggregation = values.get("aggregation", "mean")
     if aggregation not in ("mean", "max"):
         raise ConfigError(f"aggregation must be mean or max, got {aggregation!r}")
     return ExperimentConfig(params, algorithms, sweep_var, aggregation)
@@ -445,7 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample realization batches into a rooms CSV")
     p.add_argument("--n", type=int, default=8, help="rooms per realization")
     p.add_argument("--dist", choices=("uniform", "poisson", "binomial"), default="uniform")
-    p.add_argument("--occupancy", default="0.9", help="demand as a fraction of capacity")
+    p.add_argument(
+        "--occupancy", type=as_fraction, default="0.9",
+        help="demand as a fraction of capacity",
+    )
     p.add_argument("--count", type=int, default=1, help="number of realizations")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -465,7 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", choices=(HEAD_LEFT, BALANCED), default=HEAD_LEFT)
     p.add_argument("--sort", choices=_SORT_CHOICES, default="specific-weight")
     p.add_argument("--sort-seed", type=int, default=0)
-    p.add_argument("--fraction", default=None, help="head fraction (hlT only, default 0.5)")
+    p.add_argument(
+        "--fraction", type=as_fraction, default=None,
+        help="head fraction (hlT only, default 0.5)",
+    )
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--rounding", choices=("ceil", "floor"), default="ceil")
     p.add_argument("--dot-out", default=None, help="also write a Graphviz DOT file")

@@ -70,42 +70,16 @@ def _pct(numerator, denominator) -> Fraction:
 
 @dataclass(frozen=True)
 class EfficiencySeries:
-    """Per-height solution sums and efficiencies of one solved tree.
+    """Per-height solution sums and efficiencies of one solved tree, or their
+    exact mean over `realization_count` trees.
 
     The soln/GbE/GAE/LRE tuples are indexed by height 0..H; the SwE tuples
-    cover heights 1..H (index h-1).
+    cover heights 1..H (index h-1).  One tree's DPS and GAS sums are ints.
     """
 
     lrs: tuple[Fraction, ...]
-    dps: tuple[int, ...]
-    gas: tuple[int, ...]
-    gbe_lrs: tuple[Fraction, ...]
-    gbe_dps: tuple[Fraction, ...]
-    gbe_gas: tuple[Fraction, ...]
-    swe_lrs: tuple[Fraction, ...]
-    swe_dps: tuple[Fraction, ...]
-    swe_gas: tuple[Fraction, ...]
-    gae: tuple[Fraction, ...]
-    lre: tuple[Fraction, ...]
-
-    @property
-    def height(self) -> int:
-        return len(self.dps) - 1
-
-    def metric(self, name: str) -> tuple:
-        field = name.lower()
-        if field not in _METRIC_FIELDS:
-            raise InvalidParameterError(f"unknown metric {name!r}")
-        return getattr(self, field)
-
-
-@dataclass(frozen=True)
-class AveragedSeries:
-    """Field-wise arithmetic mean of several EfficiencySeries."""
-
-    lrs: tuple[Fraction, ...]
-    dps: tuple[Fraction, ...]
-    gas: tuple[Fraction, ...]
+    dps: tuple[int | Fraction, ...]
+    gas: tuple[int | Fraction, ...]
     gbe_lrs: tuple[Fraction, ...]
     gbe_dps: tuple[Fraction, ...]
     gbe_gas: tuple[Fraction, ...]
@@ -141,32 +115,25 @@ def solve_tree(tree: DCTree) -> EfficiencySeries:
         dps.append(sum(leaf.triple.dps for leaf in leaves))
         gas.append(sum(leaf.triple.gas for leaf in leaves))
 
-    def gbe(series):
-        return tuple(_pct(series[h] - series[0], series[0]) for h in heights)
-
-    def swe(series):
-        return tuple(
-            _pct(series[h] - series[h - 1], series[h - 1])
-            for h in heights
-            if h >= 1
+    columns = {
+        "LRS": tuple(lrs),
+        "DPS": tuple(dps),
+        "GAS": tuple(gas),
+        "GAE": tuple(_pct(gas[h] - dps[h], dps[h]) for h in heights),
+        "LRE": tuple(_pct(dps[h] - lrs[h], dps[h]) for h in heights),
+    }
+    for name in SOLUTION_METRICS:
+        series = columns[name]
+        columns[f"GbE_{name}"] = tuple(
+            _pct(series[h] - series[0], series[0]) for h in heights
         )
-
-    return EfficiencySeries(
-        lrs=tuple(lrs),
-        dps=tuple(dps),
-        gas=tuple(gas),
-        gbe_lrs=gbe(lrs),
-        gbe_dps=gbe(dps),
-        gbe_gas=gbe(gas),
-        swe_lrs=swe(lrs),
-        swe_dps=swe(dps),
-        swe_gas=swe(gas),
-        gae=tuple(_pct(gas[h] - dps[h], dps[h]) for h in heights),
-        lre=tuple(_pct(dps[h] - lrs[h], dps[h]) for h in heights),
-    )
+        columns[f"SwE_{name}"] = tuple(
+            _pct(series[h] - series[h - 1], series[h - 1]) for h in heights if h >= 1
+        )
+    return EfficiencySeries(**{name.lower(): columns[name] for name in ALL_METRICS})
 
 
-def average_series(series: Sequence[EfficiencySeries]) -> AveragedSeries:
+def average_series(series: Sequence[EfficiencySeries]) -> EfficiencySeries:
     """Arithmetic mean per metric per height, in input order, exactly."""
     if not series:
         raise InvalidParameterError("cannot average an empty list of series")
@@ -182,18 +149,8 @@ def average_series(series: Sequence[EfficiencySeries]) -> AveragedSeries:
             for i in range(len(columns[0]))
         )
 
-    return AveragedSeries(
-        lrs=mean_field("lrs"),
-        dps=mean_field("dps"),
-        gas=mean_field("gas"),
-        gbe_lrs=mean_field("gbe_lrs"),
-        gbe_dps=mean_field("gbe_dps"),
-        gbe_gas=mean_field("gbe_gas"),
-        swe_lrs=mean_field("swe_lrs"),
-        swe_dps=mean_field("swe_dps"),
-        swe_gas=mean_field("swe_gas"),
-        gae=mean_field("gae"),
-        lre=mean_field("lre"),
+    return EfficiencySeries(
+        **{name.lower(): mean_field(name) for name in ALL_METRICS},
         realization_count=k,
     )
 
@@ -285,7 +242,7 @@ def l1_compare(values_a, values_b, labels=("a", "b")) -> L1Comparison:
 
 
 def efficiency_array(
-    series: AveragedSeries | EfficiencySeries,
+    series: EfficiencySeries,
     metric_names: Sequence[str],
     h_tilde: int,
 ) -> list[list[Fraction]]:

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .errors import InfeasibleError, InvalidParameterError
 
-# Keeps demand * capacity intermediates comfortably inside 64 bits.
-MAX_TOTAL_CAPACITY = 2**31
+# The largest int32.  The exact DP stores proctor sums in an int32 table, and
+# the capacity bound keeps demand * capacity products inside 64 bits.
+MAX_TOTAL_CAPACITY = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,14 @@ class ProblemInstance:
             raise InvalidParameterError("all proctor counts must be >= 1")
         if self.demand < 0:
             raise InvalidParameterError("demand must be >= 0")
-        if sum(self.capacities) > MAX_TOTAL_CAPACITY:
-            raise InvalidParameterError(
-                f"total capacity exceeds the supported limit {MAX_TOTAL_CAPACITY}"
-            )
+        for name, total in (
+            ("capacity", sum(self.capacities)),
+            ("proctor count", sum(self.proctors)),
+        ):
+            if total > MAX_TOTAL_CAPACITY:
+                raise InvalidParameterError(
+                    f"total {name} exceeds the supported limit {MAX_TOTAL_CAPACITY}"
+                )
 
     @property
     def n_rooms(self) -> int:

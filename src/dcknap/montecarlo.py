@@ -22,7 +22,7 @@ import numpy as np
 
 from .dctree import BALANCED, HEAD_LEFT, TREE_ALGORITHMS, build_tree
 from .errors import InvalidParameterError, SplitInfeasibleError
-from .metrics import AveragedSeries, EfficiencySeries, average_series, solve_tree
+from .metrics import EfficiencySeries, average_series, solve_tree
 from .model import ProblemInstance, proctors_from_rate
 from .rounding import as_fraction
 from .solvers import SORT_KEYS, SortCriterion
@@ -162,7 +162,7 @@ class ExperimentParams:
 @dataclass(frozen=True)
 class ExperimentResult:
     params: ExperimentParams
-    average: AveragedSeries
+    average: EfficiencySeries
     series: tuple[EfficiencySeries, ...]  # per realization, in index order
     resampled: int  # realizations redrawn after an infeasible split
 

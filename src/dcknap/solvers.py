@@ -1,7 +1,7 @@
 """The three solution procedures for one covering-knapsack instance:
 
 * greedy upper bound (GAS): take rooms by descending specific weight until
-  the demand is covered;
+  the demand is covered, i.e. the LP support rounded up;
 * exact optimum (DPS): dynamic programming on the complement knapsack;
 * linear-relaxation lower bound (LRS): closed form, at most one fractional
   room, computed exactly as a Fraction.
@@ -98,17 +98,7 @@ class SolutionTriple:
 
 def greedy_solve(instance: ProblemInstance) -> tuple[Selection, int]:
     """Feasible cover by descending specific weight; returns it with its cost."""
-    instance.require_feasible()
-    order = SPECIFIC_WEIGHT_DESC.order(instance)
-    chosen = [False] * instance.n_rooms
-    covered = 0
-    for i in order:
-        if covered >= instance.demand:
-            break
-        chosen[i] = True
-        covered += instance.capacities[i]
-    selection = Selection(tuple(chosen))
-    return selection, selection.value(instance)
+    return _rounded_up(instance, lp_relax_solve(instance))
 
 
 def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
@@ -143,6 +133,12 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
 def associated_integer_solution(lp_support, n: int) -> Selection:
     """Round an LP solution up: chosen iff the room has a positive share."""
     return Selection.from_indices(lp_support, n)
+
+
+def _rounded_up(instance: ProblemInstance, relax: LPRelaxation) -> tuple[Selection, int]:
+    """The greedy cover: every room of the LP support, the fractional one included."""
+    selection = associated_integer_solution(relax.support, instance.n_rooms)
+    return selection, selection.value(instance)
 
 
 def dp_solve(instance: ProblemInstance) -> tuple[Selection, int]:
@@ -220,7 +216,7 @@ def solve_triple(instance: ProblemInstance) -> SolutionTriple:
     """Run all three procedures on one instance and bundle the results."""
     relax = lp_relax_solve(instance)
     exact_selection, dps = dp_solve(instance)
-    greedy_selection, gas = greedy_solve(instance)
+    greedy_selection, gas = _rounded_up(instance, relax)
     return SolutionTriple(
         lrs=relax.value,
         dps=dps,

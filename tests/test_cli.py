@@ -1,4 +1,5 @@
 import csv
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,10 @@ master_seed=3
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad options itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -55,6 +59,16 @@ class TestGenerate:
         )
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("occupancy", ["abc", "1/0", "0.9x"])
+    def test_bad_occupancy_exits_2(self, tmp_path, capsys, occupancy):
+        out = tmp_path / "rooms.csv"
+        code, _, err = run(
+            capsys, "generate", "--occupancy", occupancy, "--out", str(out)
+        )
+        assert code == 2
+        assert "--occupancy" in err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -126,6 +140,12 @@ class TestTree:
         assert rows[0] == ["room", "vertex_0"]
         assert rows[-1] == ["demand", "633"]
 
+    @pytest.mark.parametrize("fraction", ["abc", "1/0"])
+    def test_bad_fraction_exits_2(self, rooms_csv, capsys, fraction):
+        code, _, err = run(capsys, "tree", str(rooms_csv), "--fraction", fraction)
+        assert code == 2
+        assert "--fraction" in err
+
     def test_fraction_rejected_for_balanced(self, rooms_csv, capsys):
         code, _, err = run(
             capsys, "tree", str(rooms_csv), "--tree", "blT", "--fraction", "0.4"
@@ -187,6 +207,11 @@ class TestParseConfig:
             parse_config("tree_alg=both\nsweep=f\n")
         assert parse_config("tree_alg=hlT\nsweep=f\n").sweep == "f"
 
+    def test_head_fraction_none_unsets(self):
+        assert parse_config("head_fraction=None\n").params.head_fraction == Fraction(1, 2)
+        config = parse_config("tree_alg=blT\nhead_fraction=none\n")
+        assert config.params.head_fraction is None
+
     def test_max_aggregation_accepted(self):
         assert parse_config("aggregation=max\n").aggregation == "max"
         with pytest.raises(ConfigError):
@@ -216,6 +241,26 @@ class TestExperiment:
         )
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "n_rooms=abc",
+            "occupancy=zz",
+            "occupancy=1/0",
+            "head_fraction=0.5x",
+            "rate=5.5",
+            "sort_seed=x",
+        ],
+    )
+    def test_bad_config_number_exits_2(self, tmp_path, capsys, line):
+        config = tmp_path / "config.txt"
+        config.write_text(f"n_rooms=8\n{line}\n")
+        code, _, err = run(
+            capsys, "experiment", str(config), "--out-dir", str(tmp_path / "r")
+        )
+        assert code == 2
+        assert err.startswith(f"error: {line.partition('=')[0]}: cannot parse")
 
     def test_sweep_outputs(self, tmp_path, capsys):
         config = tmp_path / "config.txt"

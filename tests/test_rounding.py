@@ -22,6 +22,11 @@ class TestAsFraction:
         with pytest.raises(TypeError):
             as_fraction(object())
 
+    @pytest.mark.parametrize("text", ["zz", "0.5x", "1/0"])
+    def test_bad_strings_raise_value_error(self, text):
+        with pytest.raises(ValueError):
+            as_fraction(text)
+
 
 class TestRoundHalfUp:
     def test_tie_goes_up(self):

@@ -7,6 +7,7 @@ from dcknap import (
     InfeasibleError,
     InvalidParameterError,
     ProblemInstance,
+    Selection,
     SizeLimitError,
     SortCriterion,
     associated_integer_solution,
@@ -20,6 +21,36 @@ from dcknap import (
 from conftest import random_instance
 
 MICRO = ProblemInstance((100, 40), (4, 2), 40)
+
+
+def reference_greedy(instance):
+    """Greedy cover computed from scratch: rooms by descending capacity per
+    proctor, ties by position, taken until the demand is covered."""
+    caps, prices = instance.capacities, instance.proctors
+    order = sorted(range(len(caps)), key=lambda i: (-Fraction(caps[i], prices[i]), i))
+    chosen = [False] * len(caps)
+    covered = 0
+    for i in order:
+        if covered >= instance.demand:
+            break
+        chosen[i] = True
+        covered += caps[i]
+    selection = Selection(tuple(chosen))
+    return selection, selection.value(instance)
+
+
+def greedy_reference_cases():
+    """Random instances, plus tied specific weights and both demand extremes."""
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        yield random_instance(rng)
+    for _ in range(100):
+        inst = random_instance(rng, with_rate=False)
+        # Rooms with equal capacity/proctor ratios tie on specific weight.
+        caps = tuple(3 * p for p in inst.proctors)
+        yield ProblemInstance(caps, inst.proctors, sum(caps) // 2)
+        yield ProblemInstance(inst.capacities, inst.proctors, 0)
+        yield ProblemInstance(inst.capacities, inst.proctors, inst.total_capacity)
 
 
 class TestGreedy:
@@ -73,6 +104,17 @@ class TestDP:
         assert all(selection.chosen)
         assert value == 3
 
+    def test_proctor_sums_past_int32_rejected(self):
+        # These proctors would overflow the int32 DP table (2**31 instead of 2**30).
+        with pytest.raises(InvalidParameterError):
+            ProblemInstance((1, 1, 1), (2**30,) * 3, 1)
+
+    def test_proctor_sum_at_int32_max(self):
+        inst = ProblemInstance((1, 1, 1), (2**30 - 1, 2**30 - 1, 1), 1)
+        assert inst.total_proctors == 2**31 - 1
+        assert dp_solve(inst) == brute_force_solve(inst)
+        assert dp_solve(inst)[1] == 1
+
 
 class TestLPRelaxation:
     def test_micro_example(self):
@@ -113,13 +155,11 @@ class TestAssociatedIntegerSolution:
         assert associated_integer_solution((0, 1, 2), 3).chosen == (True,) * 3
 
     def test_matches_greedy_selection(self):
-        rng = np.random.default_rng(29)
-        for _ in range(300):
-            inst = random_instance(rng)
-            relax = lp_relax_solve(inst)
-            rounded = associated_integer_solution(relax.support, inst.n_rooms)
-            greedy_selection, _ = greedy_solve(inst)
-            assert rounded == greedy_selection
+        for inst in greedy_reference_cases():
+            expected = reference_greedy(inst)
+            assert greedy_solve(inst) == expected
+            triple = solve_triple(inst)
+            assert (triple.greedy_selection, triple.gas) == expected
 
 
 class TestBruteForce:
