@@ -16,7 +16,11 @@ class InvalidParameterError(DcknapError, ValueError):
 
 
 class SizeLimitError(InvalidParameterError):
-    """An exhaustive routine was asked for more than it can enumerate."""
+    """A routine was asked for more than it can enumerate or allocate.
+
+    Raised by the brute-force oracle past its room limit and by the exact
+    DP before allocating a table past its cell limit.
+    """
 
 
 class InvalidPartitionError(InvalidParameterError):

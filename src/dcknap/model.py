@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .errors import InfeasibleError, InvalidParameterError
 
-# The largest int32.  The exact DP stores proctor sums in an int32 table, and
-# the capacity bound keeps demand * capacity products inside 64 bits.
+# The largest int32.  The exact DP stores capacity or proctor sums in an int32
+# table, and the capacity bound keeps demand * capacity products inside 64 bits.
 MAX_TOTAL_CAPACITY = 2**31 - 1
 
 

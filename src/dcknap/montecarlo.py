@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dctree import BALANCED, HEAD_LEFT, TREE_ALGORITHMS, build_tree
+from .dctree import BALANCED, HEAD_LEFT, ROUNDING_MODES, TREE_ALGORITHMS, build_tree
 from .errors import InvalidParameterError, SplitInfeasibleError
 from .metrics import EfficiencySeries, average_series, solve_tree
 from .model import ProblemInstance, proctors_from_rate
@@ -157,6 +157,10 @@ class ExperimentParams:
             raise InvalidParameterError("need at least one realization")
         if self.n_rooms < 1:
             raise InvalidParameterError("need at least one room")
+        if self.min_size < 1:
+            raise InvalidParameterError("min_size must be >= 1")
+        if self.rounding not in ROUNDING_MODES:
+            raise InvalidParameterError(f"rounding must be one of {ROUNDING_MODES}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 * greedy upper bound (GAS): take rooms by descending specific weight until
   the demand is covered, i.e. the LP support rounded up;
-* exact optimum (DPS): dynamic programming on the complement knapsack;
+* exact optimum (DPS): dynamic programming indexed by proctor cost up to
+  GAS or by the complement knapsack's budget, whichever axis is smaller;
+  ties go to the lexicographically smallest cover;
 * linear-relaxation lower bound (LRS): closed form, at most one fractional
   room, computed exactly as a Fraction.
 
@@ -23,6 +25,9 @@ SORT_KEYS = ("proctors", "capacity", "specific_weight", "random")
 
 _BRUTE_FORCE_MAX_ROOMS = 24
 _BRUTE_FORCE_CHUNK = 1 << 16
+
+#: Largest exact-DP table, in int32 cells (1 GiB).
+DP_MAX_CELLS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -141,40 +146,79 @@ def _rounded_up(instance: ProblemInstance, relax: LPRelaxation) -> tuple[Selecti
     return selection, selection.value(instance)
 
 
-def dp_solve(instance: ProblemInstance) -> tuple[Selection, int]:
-    """Exact minimum-cost cover via the complement knapsack.
-
-    The knapsack over budget = total capacity - demand is solved by dynamic
-    programming; mapping the max-profit subset back through x = 1 - xi gives
-    the optimal cover.  Among co-optimal covers the lexicographically
-    smallest (in room order) is returned.
-    """
-    budget, items = to_standard_knapsack(instance)
-    n = instance.n_rooms
-    caps = instance.capacities
-    prices = instance.proctors
-    if instance.demand == 0:
-        return Selection.zeros(n), 0
-
-    # table[i][w]: best profit using items i.. with remaining budget w
-    table = np.zeros((n + 1, budget + 1), dtype=np.int32)
+def _fill_table(weights, values, width: int) -> np.ndarray:
+    """table[i][x]: the largest sum of `values` over rooms i.. whose
+    `weights` sum to at most x, for x = 0..width."""
+    n = len(weights)
+    table = np.zeros((n + 1, width + 1), dtype=np.int32)
     for i in range(n - 1, -1, -1):
         nxt = table[i + 1]
         row = table[i]
         np.copyto(row, nxt)
-        w = caps[i]
-        if w <= budget:
-            np.maximum(row[w:], nxt[: budget - w + 1] + prices[i], out=row[w:])
+        w = weights[i]
+        if w <= width:
+            np.maximum(row[w:], nxt[: width - w + 1] + values[i], out=row[w:])
+    return table
 
-    # Walking forward and discarding whenever optimal keeps the cover
-    # lexicographically smallest.
-    chosen = [True] * n
-    w = budget
-    for i in range(n):
-        if caps[i] <= w and table[i + 1][w - caps[i]] + prices[i] == table[i][w]:
-            chosen[i] = False
-            w -= caps[i]
-    value = instance.total_proctors - int(table[0][budget])
+
+def dp_solve(instance: ProblemInstance, bound: int | None = None) -> tuple[Selection, int]:
+    """Exact minimum-cost cover by dynamic programming on the smaller axis.
+
+    `bound` is an upper bound on the optimum, such as the cost of any
+    feasible cover; it defaults to the total proctor count, and a cost-axis
+    table that shows it below the optimum raises InvalidParameterError.
+    The table is indexed by whichever axis has fewer columns:
+
+    * cost, 0..bound: the largest capacity rooms i.. cover for at most c
+      proctors; the optimum is the least c whose row-0 entry meets the demand;
+    * budget, 0..total capacity - demand: the complement knapsack, the most
+      proctors rooms i.. can leave out within the budget.
+
+    Either way, among co-optimal covers the lexicographically smallest (in
+    room order) is returned.  A table of more than `DP_MAX_CELLS` cells
+    raises SizeLimitError before anything is allocated.
+    """
+    budget, _ = to_standard_knapsack(instance)
+    n = instance.n_rooms
+    caps = instance.capacities
+    prices = instance.proctors
+    demand = instance.demand
+    if demand == 0:
+        return Selection.zeros(n), 0
+    total = instance.total_proctors
+    cost_width = total if bound is None else min(bound, total)
+    by_cost = cost_width <= budget
+    width = cost_width if by_cost else budget
+    if (n + 1) * (width + 1) > DP_MAX_CELLS:
+        raise SizeLimitError(
+            f"exact DP table of {n + 1} rows x {width + 1} columns exceeds "
+            f"{DP_MAX_CELLS} cells (cost axis {cost_width + 1}, "
+            f"budget axis {budget + 1} columns)"
+        )
+
+    # Walking forward and leaving a room out whenever that stays optimal
+    # keeps the cover lexicographically smallest.
+    if by_cost:
+        table = _fill_table(prices, caps, width)
+        value = int(np.searchsorted(table[0], demand))
+        if value > width:
+            raise InvalidParameterError(f"bound {bound} is below the optimum cost")
+        chosen = [False] * n
+        left, c = demand, value
+        for i in range(n):
+            if table[i + 1, c] < left:
+                chosen[i] = True
+                left -= caps[i]
+                c -= prices[i]
+    else:
+        table = _fill_table(caps, prices, width)
+        value = total - int(table[0, width])
+        chosen = [True] * n
+        w = width
+        for i in range(n):
+            if caps[i] <= w and table[i + 1, w - caps[i]] + prices[i] == table[i, w]:
+                chosen[i] = False
+                w -= caps[i]
     return Selection(tuple(chosen)), value
 
 
@@ -215,8 +259,8 @@ def brute_force_solve(instance: ProblemInstance) -> tuple[Selection, int]:
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:
     """Run all three procedures on one instance and bundle the results."""
     relax = lp_relax_solve(instance)
-    exact_selection, dps = dp_solve(instance)
     greedy_selection, gas = _rounded_up(instance, relax)
+    exact_selection, dps = dp_solve(instance, gas)
     return SolutionTriple(
         lrs=relax.value,
         dps=dps,

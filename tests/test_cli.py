@@ -1,6 +1,7 @@
 import csv
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from dcknap.cli import main, parse_config
@@ -103,6 +104,18 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(edited), "--column", "1")
         assert code == 1
         assert "exceeds total capacity" in err
+
+    def test_oversized_dp_exits_2(self, tmp_path, capsys, monkeypatch):
+        rooms = tmp_path / "huge.csv"
+        rooms.write_text("room,big\n0,1000000000\n1,1000000000\nSUM,2000000000\nDEMAND,1\n")
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("np.zeros called")
+
+        monkeypatch.setattr(numpy, "zeros", no_allocation)
+        code, _, err = run(capsys, "solve", str(rooms), "--rate", "1", "--solver", "dp")
+        assert code == 2
+        assert "exact DP table of 3 rows" in err
 
     def test_missing_column_exits_2(self, rooms_csv, capsys):
         code, _, _ = run(capsys, "solve", str(rooms_csv), "--column", "nope")
@@ -251,16 +264,23 @@ class TestExperiment:
             "head_fraction=0.5x",
             "rate=5.5",
             "sort_seed=x",
+            "rounding=xyz",
+            "min_size=0",
         ],
     )
     def test_bad_config_number_exits_2(self, tmp_path, capsys, line):
         config = tmp_path / "config.txt"
         config.write_text(f"n_rooms=8\n{line}\n")
-        code, _, err = run(
-            capsys, "experiment", str(config), "--out-dir", str(tmp_path / "r")
-        )
+        out_dir = tmp_path / "r"
+        code, _, err = run(capsys, "experiment", str(config), "--out-dir", str(out_dir))
         assert code == 2
-        assert err.startswith(f"error: {line.partition('=')[0]}: cannot parse")
+        key = line.partition("=")[0]
+        expected = {
+            "rounding=xyz": "error: rounding must be one of",
+            "min_size=0": "error: min_size must be >= 1",
+        }.get(line, f"error: {key}: cannot parse")
+        assert err.startswith(expected)
+        assert not out_dir.exists()
 
     def test_sweep_outputs(self, tmp_path, capsys):
         config = tmp_path / "config.txt"

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcknap import (
     InfeasibleError,
@@ -18,6 +20,7 @@ from dcknap import (
     proctors_from_rate,
     solve_triple,
 )
+import dcknap.solvers
 from conftest import random_instance
 
 MICRO = ProblemInstance((100, 40), (4, 2), 40)
@@ -114,6 +117,76 @@ class TestDP:
         assert inst.total_proctors == 2**31 - 1
         assert dp_solve(inst) == brute_force_solve(inst)
         assert dp_solve(inst)[1] == 1
+
+    def test_oversized_table_rejected_before_allocation(self, monkeypatch):
+        # Cost axis 2e9 + 1 columns (1e9 + 1 with the greedy bound), budget
+        # axis 2e9: either table is far past the cell limit.
+        inst = ProblemInstance((10**9, 10**9), (10**9, 10**9), 1)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("np.zeros called")
+
+        monkeypatch.setattr(dcknap.solvers.np, "zeros", no_allocation)
+        for bound in (None, 10**9):
+            with pytest.raises(SizeLimitError, match="3 rows x"):
+                dp_solve(inst, bound)
+
+    def test_bound_below_optimum_rejected(self):
+        with pytest.raises(InvalidParameterError, match="below the optimum"):
+            dp_solve(MICRO, 1)
+
+
+# Capacity/proctor ratios shared by many rooms, so optima tie often.
+_RATIOS = ((1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (6, 4))
+
+
+@st.composite
+def tied_instances(draw):
+    """(instance, side): rooms of a few shared ratios, demand placed so that
+    dp_solve indexes by cost ("cost"), by budget ("budget"), or either ("any")."""
+    rooms = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_RATIOS), st.integers(1, 3)),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    caps = tuple(a * m for (a, _), m in rooms)
+    prices = tuple(b * m for (_, b), m in rooms)
+    total_cap, total_p = sum(caps), sum(prices)
+    side = draw(st.sampled_from(("cost", "budget", "any")))
+    if side == "cost":
+        # budget >= total proctors >= any bound
+        demand = draw(st.integers(0, total_cap - total_p))
+    elif side == "budget":
+        # budget < cheapest room <= optimum <= any bound
+        demand = draw(st.integers(max(1, total_cap - min(prices) + 1), total_cap))
+    else:
+        demand = draw(st.integers(0, total_cap))
+    return ProblemInstance(caps, prices, demand), side
+
+
+class TestDPProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(tied_instances())
+    def test_matches_brute_force(self, case):
+        inst, side = case
+        expected = brute_force_solve(inst)
+        _, gas = greedy_solve(inst)
+        budget = inst.total_capacity - inst.demand
+        for bound in (None, gas):
+            if inst.demand > 0 and side != "any":
+                width = inst.total_proctors if bound is None else bound
+                assert (width <= budget) == (side == "cost")
+            assert dp_solve(inst, bound) == expected
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(tied_instances())
+    def test_triple_sandwich(self, case):
+        inst, _ = case
+        triple = solve_triple(inst)
+        assert triple.lrs <= triple.dps <= triple.gas
+        assert (triple.exact_selection, triple.dps) == brute_force_solve(inst)
 
 
 class TestLPRelaxation:
