@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .dctree import BALANCED, HEAD_LEFT, build_tree, to_dot
+from .dctree import BALANCED, HEAD_LEFT, ROUNDING_MODES, TREE_ALGORITHMS, build_tree, to_dot
 from .errors import (
     ConfigError,
     InfeasibleError,
@@ -27,16 +28,20 @@ from .errors import (
     SplitInfeasibleError,
 )
 from .metrics import (
+    AGGREGATIONS,
     ALL_METRICS,
     EFFICIENCY_METRICS,
     critical_height,
     critical_height_mode,
     efficiency_array,
     l1_compare,
+    l1_norm,
     metric_start_height,
 )
 from .model import ProblemInstance, proctors_from_rate
 from .montecarlo import (
+    DISTRIBUTIONS,
+    SWEEP_VARIABLES,
     ExperimentParams,
     derive_seed,
     make_realization,
@@ -46,13 +51,15 @@ from .montecarlo import (
     write_rooms_csv,
 )
 from .rounding import as_fraction, format_2dec
-from .solvers import SortCriterion, dp_solve, greedy_solve, lp_relax_solve
-
-_SORT_CHOICES = ("proctors", "capacity", "specific-weight", "random")
+from .solvers import SORT_KEYS, SortCriterion, dp_solve, greedy_solve, lp_relax_solve
 
 
-def _sort_criterion(name: str, seed: int | None) -> SortCriterion:
-    key = name.replace("-", "_")
+def _sort_key(text: str) -> str:
+    """Sort keys may be spelled with hyphens, as in specific-weight."""
+    return text.replace("-", "_")
+
+
+def _sort_criterion(key: str, seed: int | None) -> SortCriterion:
     return SortCriterion(key, seed=seed if key == "random" else None)
 
 
@@ -76,8 +83,10 @@ def cmd_generate(args) -> int:
         )
         for k in range(args.count)
     ]
+    text = io.StringIO()
+    write_rooms_csv(text, realizations)  # fails before --out is created
     with open(args.out, "w", newline="") as stream:
-        write_rooms_csv(stream, realizations)
+        stream.write(text.getvalue())
     print(f"wrote {args.count} realizations of {args.n} rooms to {args.out}")
     return 0
 
@@ -147,17 +156,11 @@ def cmd_tree(args) -> int:
         proctors=proctors_from_rate(caps, args.rate),
         demand=demand,
     )
-    if args.tree == BALANCED and args.fraction is not None:
-        raise InvalidParameterError("--fraction only applies to --tree hlT")
-    if args.tree == HEAD_LEFT:
-        fraction = args.fraction if args.fraction is not None else Fraction(1, 2)
-    else:
-        fraction = None
     tree = build_tree(
         instance,
         args.tree,
         _sort_criterion(args.sort, args.sort_seed),
-        fraction=fraction,
+        fraction=args.fraction,
         min_size=args.min_size,
         rounding=args.rounding,
     )
@@ -188,7 +191,7 @@ _CONFIG_KEYS = {
     "occupancy": as_fraction,
     "rate": int,
     "tree_alg": str,
-    "sort": str,
+    "sort": _sort_key,
     "sort_seed": int,
     "head_fraction": _optional_fraction,
     "min_size": int,
@@ -234,15 +237,13 @@ def parse_config(text: str) -> ExperimentConfig:
     tree_alg = values.get("tree_alg", HEAD_LEFT)
     algorithms = (HEAD_LEFT, BALANCED) if tree_alg == "both" else (tree_alg,)
     head_fraction = values.get("head_fraction")
-    if BALANCED in algorithms and len(algorithms) == 1 and head_fraction is not None:
-        raise ConfigError("tree_alg=blT takes no head_fraction")
     if algorithms[0] == HEAD_LEFT and head_fraction is None:
         head_fraction = Fraction(1, 2)
 
     kwargs = {key: v for key, v in values.items() if key in _PARAM_FIELDS}
     kwargs.update(
         tree_alg=algorithms[0],
-        sort=_sort_criterion(values.get("sort", "specific-weight"), values.get("sort_seed")),
+        sort=_sort_criterion(values.get("sort", "specific_weight"), values.get("sort_seed")),
         head_fraction=head_fraction,
     )
     try:
@@ -251,22 +252,21 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
     sweep_var = values.get("sweep")
-    if sweep_var is not None and sweep_var not in ("o", "r", "s", "f"):
-        raise ConfigError(f"sweep must be one of o, r, s, f; got {sweep_var!r}")
+    if sweep_var is not None and sweep_var not in SWEEP_VARIABLES:
+        raise ConfigError(f"sweep must be one of {SWEEP_VARIABLES}; got {sweep_var!r}")
     if sweep_var == "f" and algorithms != (HEAD_LEFT,):
         raise ConfigError("the head fraction can only be swept with tree_alg=hlT")
-    aggregation = values.get("aggregation", "mean")
-    if aggregation not in ("mean", "max"):
-        raise ConfigError(f"aggregation must be mean or max, got {aggregation!r}")
+    aggregation = values.get("aggregation", AGGREGATIONS[0])
+    if aggregation not in AGGREGATIONS:
+        raise ConfigError(f"aggregation must be one of {AGGREGATIONS}; got {aggregation!r}")
     return ExperimentConfig(params, algorithms, sweep_var, aggregation)
 
 
 def _params_for(params: ExperimentParams, algorithm: str) -> ExperimentParams:
+    """The config's params, or its blT twin when tree_alg=both."""
     if algorithm == params.tree_alg:
         return params
-    if algorithm == BALANCED:
-        return replace(params, tree_alg=BALANCED, head_fraction=None)
-    return replace(params, tree_alg=HEAD_LEFT, head_fraction=Fraction(1, 2))
+    return replace(params, tree_alg=BALANCED, head_fraction=None)
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -331,11 +331,10 @@ def _norms(results, h_tilde):
     out = {}
     for v, result in results.items():
         h = min(h_tilde, result.average.height)
-        all_block = efficiency_array(result.average, EFFICIENCY_METRICS, h)
-        dps_block = efficiency_array(result.average, ["GbE_DPS"], h)
-        norm_all = sum((abs(x) for row in all_block for x in row), Fraction(0))
-        norm_dps = sum((abs(x) for row in dps_block for x in row), Fraction(0))
-        out[v] = (norm_all, norm_dps)
+        out[v] = tuple(
+            l1_norm(efficiency_array(result.average, names, h))
+            for names in (EFFICIENCY_METRICS, ["GbE_DPS"])
+        )
     return out
 
 
@@ -350,11 +349,11 @@ def cmd_experiment(args) -> int:
     for algorithm in algorithms:
         alg_params = _params_for(params, algorithm)
         if sweep_var is None:
-            result = run_experiment(alg_params, workers=args.workers)
+            result = run_experiment(alg_params)
             _write_csv(out_dir / f"average_{algorithm}.csv", _average_rows(result.average))
             results = {"-": result}
         else:
-            results = sweep(alg_params, sweep_var, workers=args.workers)
+            results = sweep(alg_params, sweep_var)
             for name in ALL_METRICS:
                 _write_csv(
                     out_dir / f"avg_{algorithm}_{name}.csv",
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample realization batches into a rooms CSV")
     p.add_argument("--n", type=int, default=8, help="rooms per realization")
-    p.add_argument("--dist", choices=("uniform", "poisson", "binomial"), default="uniform")
+    p.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
     p.add_argument(
         "--occupancy", type=as_fraction, default="0.9",
         help="demand as a fraction of capacity",
@@ -458,22 +457,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="rooms CSV")
     p.add_argument("--column", default="1")
     p.add_argument("--rate", type=int, default=54)
-    p.add_argument("--tree", choices=(HEAD_LEFT, BALANCED), default=HEAD_LEFT)
-    p.add_argument("--sort", choices=_SORT_CHOICES, default="specific-weight")
+    p.add_argument("--tree", choices=TREE_ALGORITHMS, default=HEAD_LEFT)
+    p.add_argument("--sort", type=_sort_key, choices=SORT_KEYS, default="specific_weight")
     p.add_argument("--sort-seed", type=int, default=0)
     p.add_argument(
         "--fraction", type=as_fraction, default=None,
         help="head fraction (hlT only, default 0.5)",
     )
     p.add_argument("--min-size", type=int, default=2)
-    p.add_argument("--rounding", choices=("ceil", "floor"), default="ceil")
+    p.add_argument("--rounding", choices=ROUNDING_MODES, default="ceil")
     p.add_argument("--dot-out", default=None, help="also write a Graphviz DOT file")
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("experiment", help="run an experiment grid from a config file")
     p.add_argument("config", help="flat key=value config file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; runs are serial",
+    )
     p.set_defaults(func=cmd_experiment)
 
     return parser
@@ -486,7 +488,7 @@ def main(argv=None) -> int:
     except (InfeasibleError, SplitInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, InvalidParameterError) as exc:
+    except (ConfigError, InvalidParameterError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

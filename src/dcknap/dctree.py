@@ -73,13 +73,38 @@ def slack_condition_holds(total_caps: int, right_caps: int, demand: int) -> bool
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Generation parameters, kept on the tree for reproducibility."""
+    """Generation parameters, kept on the tree for reproducibility.
+
+    The one place tree parameters are checked: builders and
+    ExperimentParams construct one to validate theirs.
+    """
 
     algorithm: str  # "hlT" or "blT"
     sort: SortCriterion
     fraction: Fraction | None  # head fraction, hlT only
     min_size: int
     rounding: str
+
+    def __post_init__(self):
+        if self.algorithm not in TREE_ALGORITHMS:
+            raise InvalidParameterError(
+                f"unknown tree algorithm {self.algorithm!r}; "
+                f"expected one of {TREE_ALGORITHMS}"
+            )
+        if self.algorithm == BALANCED:
+            if self.fraction is not None:
+                raise InvalidParameterError("the balanced tree takes no head fraction")
+        elif self.fraction is None:
+            raise InvalidParameterError("the head-left tree needs a head fraction")
+        else:
+            fraction = as_fraction(self.fraction)
+            if not 0 <= fraction <= 1:
+                raise InvalidParameterError(f"head fraction must lie in [0, 1], got {fraction}")
+            object.__setattr__(self, "fraction", fraction)
+        if self.min_size < 1:
+            raise InvalidParameterError("min_size must be >= 1")
+        if self.rounding not in ROUNDING_MODES:
+            raise InvalidParameterError(f"rounding must be one of {ROUNDING_MODES}")
 
 
 @dataclass
@@ -177,15 +202,7 @@ def build_tree_headleft(
     Recursion stops once a list has at most `min_size` rooms or a child
     would come out empty.
     """
-    fraction = as_fraction(fraction)
-    if not 0 <= fraction <= 1:
-        raise InvalidParameterError(f"head fraction must lie in [0, 1], got {fraction}")
-    if min_size < 1:
-        raise InvalidParameterError("min_size must be >= 1")
-    if rounding not in ROUNDING_MODES:
-        raise InvalidParameterError(f"rounding must be one of {ROUNDING_MODES}")
-    params = TreeParams(HEAD_LEFT, sort, fraction, int(min_size), rounding)
-    return _build(instance, params)
+    return _build(instance, TreeParams(HEAD_LEFT, sort, fraction, min_size, rounding))
 
 
 def build_tree_balanced(
@@ -195,27 +212,14 @@ def build_tree_balanced(
     rounding: str = "ceil",
 ) -> DCTree:
     """Balanced tree: even positions of the sorted list left, odd right."""
-    if min_size < 1:
-        raise InvalidParameterError("min_size must be >= 1")
-    if rounding not in ROUNDING_MODES:
-        raise InvalidParameterError(f"rounding must be one of {ROUNDING_MODES}")
-    params = TreeParams(BALANCED, sort, None, int(min_size), rounding)
-    return _build(instance, params)
+    return _build(instance, TreeParams(BALANCED, sort, None, min_size, rounding))
 
 
 def build_tree(instance, algorithm, sort, fraction=None, min_size=2, rounding="ceil"):
-    """Dispatch on the algorithm name ("hlT" or "blT")."""
-    if algorithm == HEAD_LEFT:
-        if fraction is None:
-            fraction = Fraction(1, 2)
-        return build_tree_headleft(instance, sort, fraction, min_size, rounding)
-    if algorithm == BALANCED:
-        if fraction is not None:
-            raise InvalidParameterError("the balanced tree takes no head fraction")
-        return build_tree_balanced(instance, sort, min_size, rounding)
-    raise InvalidParameterError(
-        f"unknown tree algorithm {algorithm!r}; expected one of {TREE_ALGORITHMS}"
-    )
+    """Dispatch on the algorithm name ("hlT" or "blT"); hlT defaults to 1/2."""
+    if algorithm == HEAD_LEFT and fraction is None:
+        fraction = Fraction(1, 2)
+    return _build(instance, TreeParams(algorithm, sort, fraction, min_size, rounding))
 
 
 def prune(tree: DCTree, h: int) -> list[DCNode]:

@@ -56,6 +56,9 @@ ALL_METRICS = SOLUTION_METRICS + (
 
 _METRIC_FIELDS = frozenset(name.lower() for name in ALL_METRICS)
 
+#: How critical_height combines the per-step growth of the swept values.
+AGGREGATIONS = ("mean", "max")
+
 
 def metric_start_height(name: str) -> int:
     """First height a metric is defined at (stepwise metrics start at 1)."""
@@ -167,8 +170,8 @@ def critical_height(
     first h >= 2 with step(h) > 2 * step(h-1), or H when growth never
     doubles.  Beyond that point the decomposition is considered degraded.
     """
-    if aggregation not in ("mean", "max"):
-        raise InvalidParameterError("aggregation must be 'mean' or 'max'")
+    if aggregation not in AGGREGATIONS:
+        raise InvalidParameterError(f"aggregation must be one of {AGGREGATIONS}")
     if isinstance(columns, Mapping):
         series = [list(v) for v in columns.values()]
     else:
@@ -224,14 +227,18 @@ def _flatten(values):
     return flat
 
 
+def l1_norm(values) -> Fraction:
+    """Sum of the absolute entries of a vector or a 2-D array, exactly."""
+    return sum((abs(v) for row in _flatten(values) for v in row), Fraction(0))
+
+
 def l1_compare(values_a, values_b, labels=("a", "b")) -> L1Comparison:
-    """Sum of absolute entries of two same-shaped arrays; smaller norm wins."""
+    """l1 norms of two same-shaped arrays; smaller norm wins."""
     flat_a = _flatten(values_a)
     flat_b = _flatten(values_b)
     if [len(row) for row in flat_a] != [len(row) for row in flat_b]:
         raise InvalidParameterError("the two arrays must have identical shape")
-    norm_a = sum((abs(v) for row in flat_a for v in row), Fraction(0))
-    norm_b = sum((abs(v) for row in flat_b for v in row), Fraction(0))
+    norm_a, norm_b = l1_norm(flat_a), l1_norm(flat_b)
     if norm_a < norm_b:
         winner = labels[0]
     elif norm_b < norm_a:

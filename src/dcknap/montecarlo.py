@@ -6,21 +6,19 @@ resampled on a zero draw), and the demand of a realization is
 floor(occupancy * total capacity).
 
 Every random stream is derived from a single master seed with a stable
-SHA-256 construction, so experiments are reproducible byte for byte no
-matter how many workers execute them.
+SHA-256 construction, so experiments are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .dctree import BALANCED, HEAD_LEFT, ROUNDING_MODES, TREE_ALGORITHMS, build_tree
+from .dctree import BALANCED, HEAD_LEFT, TreeParams, build_tree
 from .errors import InvalidParameterError, SplitInfeasibleError
 from .metrics import EfficiencySeries, average_series, solve_tree
 from .model import ProblemInstance, proctors_from_rate
@@ -130,23 +128,14 @@ class ExperimentParams:
 
     def __post_init__(self):
         object.__setattr__(self, "occupancy", as_fraction(self.occupancy))
-        if self.head_fraction is not None:
-            object.__setattr__(self, "head_fraction", as_fraction(self.head_fraction))
         if self.dist not in DISTRIBUTIONS:
             raise InvalidParameterError(
                 f"unknown distribution {self.dist!r}; expected one of {DISTRIBUTIONS}"
             )
-        if self.tree_alg not in TREE_ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown tree algorithm {self.tree_alg!r}; "
-                f"expected one of {TREE_ALGORITHMS}"
-            )
-        if self.tree_alg == BALANCED and self.head_fraction is not None:
-            raise InvalidParameterError(
-                "the balanced tree has no head fraction; set head_fraction=None"
-            )
-        if self.tree_alg == HEAD_LEFT and self.head_fraction is None:
-            raise InvalidParameterError("the head-left tree needs a head fraction")
+        tree = TreeParams(
+            self.tree_alg, self.sort, self.head_fraction, self.min_size, self.rounding
+        )
+        object.__setattr__(self, "head_fraction", tree.fraction)
         if not 0 < self.occupancy <= 1:
             raise InvalidParameterError(
                 f"occupancy must lie in (0, 1], got {self.occupancy}"
@@ -157,10 +146,6 @@ class ExperimentParams:
             raise InvalidParameterError("need at least one realization")
         if self.n_rooms < 1:
             raise InvalidParameterError("need at least one room")
-        if self.min_size < 1:
-            raise InvalidParameterError("min_size must be >= 1")
-        if self.rounding not in ROUNDING_MODES:
-            raise InvalidParameterError(f"rounding must be one of {ROUNDING_MODES}")
 
 
 @dataclass(frozen=True)
@@ -201,25 +186,19 @@ def _realization_series(params: ExperimentParams, index: int) -> tuple[Efficienc
     raise last_error
 
 
-def run_experiment(params: ExperimentParams, workers: int = 1) -> ExperimentResult:
+def run_experiment(params: ExperimentParams) -> ExperimentResult:
     """Run all realizations of one experiment and average the series.
 
-    Output is a pure function of `params`: realizations are seeded by index,
-    and the reduction always happens in index order, so the worker count
-    never changes the result.
+    Output is a pure function of `params`: realizations are seeded by index
+    and reduced in index order.
     """
-    indices = range(params.realizations)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda i: _realization_series(params, i), indices))
-    else:
-        outcomes = [_realization_series(params, i) for i in indices]
+    outcomes = [_realization_series(params, i) for i in range(params.realizations)]
     series = tuple(s for s, _ in outcomes)
     resampled = sum(r for _, r in outcomes)
     return ExperimentResult(params, average_series(series), series, resampled)
 
 
-def default_domain(variable: str, tree_alg: str = HEAD_LEFT):
+def default_domain(variable: str):
     """The standard sweep domain of a strategy variable."""
     if variable == "o":
         return tuple(Fraction(k, 100) for k in range(50, 91, 5))
@@ -228,8 +207,6 @@ def default_domain(variable: str, tree_alg: str = HEAD_LEFT):
     if variable == "s":
         return SORT_KEYS
     if variable == "f":
-        if tree_alg == BALANCED:
-            raise InvalidParameterError("the balanced tree has no head fraction")
         return tuple(Fraction(k, 100) for k in range(35, 66, 5))
     raise InvalidParameterError(
         f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"
@@ -237,22 +214,19 @@ def default_domain(variable: str, tree_alg: str = HEAD_LEFT):
 
 
 def _with_value(params: ExperimentParams, variable: str, value) -> ExperimentParams:
+    """`params` with one swept variable set; `sweep` has checked the name."""
     if variable == "o":
-        return replace(params, occupancy=as_fraction(value))
+        return replace(params, occupancy=value)
     if variable == "r":
         return replace(params, rate=int(value))
     if variable == "s":
         key = value.key if isinstance(value, SortCriterion) else str(value)
         # A seedless random criterion gets a per-realization derived seed.
         return replace(params, sort=SortCriterion(key))
-    if variable == "f":
-        return replace(params, head_fraction=as_fraction(value))
-    raise InvalidParameterError(f"unknown sweep variable {variable!r}")
+    return replace(params, head_fraction=value)  # "f"
 
 
-def sweep(
-    params: ExperimentParams, variable: str, domain=None, workers: int = 1
-) -> dict:
+def sweep(params: ExperimentParams, variable: str, domain=None) -> dict:
     """One run_experiment per domain value, everything else held fixed.
 
     Realization seeds depend only on (master_seed, index), so every domain
@@ -266,13 +240,13 @@ def sweep(
     if variable == "f" and params.tree_alg == BALANCED:
         raise InvalidParameterError("cannot sweep the head fraction of a balanced tree")
     if domain is None:
-        domain = default_domain(variable, params.tree_alg)
+        domain = default_domain(variable)
     if not domain:
         raise InvalidParameterError("the sweep domain is empty")
     results = {}
     for value in domain:
         point = _with_value(params, variable, value)
-        results[value] = run_experiment(point, workers=workers)
+        results[value] = run_experiment(point)
     return results
 
 
@@ -281,6 +255,8 @@ def sweep(
 # trailing SUM and DEMAND rows.
 
 def write_rooms_csv(stream, realizations, labels=None) -> None:
+    if not realizations:
+        raise InvalidParameterError("need at least one realization")
     if labels is None:
         labels = [f"realization_{k + 1}" for k in range(len(realizations))]
     n = len(realizations[0].capacities)

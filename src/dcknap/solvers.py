@@ -34,12 +34,11 @@ DP_MAX_CELLS = 1 << 28
 class SortCriterion:
     """How to order a room list before splitting or solving.
 
-    Ties always break by ascending position, so orderings are reproducible.
-    The `random` key shuffles with the given seed and ignores `descending`.
+    Keys sort descending and ties break by ascending position, so orderings
+    are reproducible.  The `random` key shuffles with the given seed.
     """
 
     key: str = "specific_weight"
-    descending: bool = True
     seed: int | None = None  # required to order with key="random"
 
     def __post_init__(self):
@@ -62,13 +61,11 @@ class SortCriterion:
             keys = instance.capacities
         else:
             keys = specific_weights(instance)
-        if self.descending:
-            return sorted(range(n), key=lambda i: (-keys[i], i))
-        return sorted(range(n), key=lambda i: (keys[i], i))
+        return sorted(range(n), key=lambda i: (-keys[i], i))
 
 
 #: Sorting used by the greedy and LP procedures themselves.
-SPECIFIC_WEIGHT_DESC = SortCriterion("specific_weight", descending=True)
+SPECIFIC_WEIGHT_DESC = SortCriterion("specific_weight")
 
 
 @dataclass(frozen=True)

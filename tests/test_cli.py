@@ -71,6 +71,13 @@ class TestGenerate:
         assert "--occupancy" in err
         assert not out.exists()
 
+    def test_zero_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rooms.csv"
+        code, _, err = run(capsys, "generate", "--count", "0", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: need at least one realization")
+        assert not out.exists()
+
 
 class TestSolve:
     def test_realization_one_triple(self, rooms_csv, capsys):
@@ -120,6 +127,13 @@ class TestSolve:
     def test_missing_column_exits_2(self, rooms_csv, capsys):
         code, _, _ = run(capsys, "solve", str(rooms_csv), "--column", "nope")
         assert code == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        rooms = tmp_path / "rooms.csv"
+        rooms.write_bytes(b"room,a\n0,\xff\nSUM,1\nDEMAND,1\n")
+        code, _, err = run(capsys, "solve", str(rooms))
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestTree:
@@ -266,6 +280,7 @@ class TestExperiment:
             "sort_seed=x",
             "rounding=xyz",
             "min_size=0",
+            "head_fraction=3/2",
         ],
     )
     def test_bad_config_number_exits_2(self, tmp_path, capsys, line):
@@ -278,8 +293,18 @@ class TestExperiment:
         expected = {
             "rounding=xyz": "error: rounding must be one of",
             "min_size=0": "error: min_size must be >= 1",
+            "head_fraction=3/2": "error: head fraction must lie in [0, 1]",
         }.get(line, f"error: {key}: cannot parse")
         assert err.startswith(expected)
+        assert not out_dir.exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_bytes(b"n_rooms=8\ndist=\xff\n")
+        out_dir = tmp_path / "r"
+        code, _, err = run(capsys, "experiment", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith("error:")
         assert not out_dir.exists()
 
     def test_sweep_outputs(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcknap import (
     InvalidParameterError,
@@ -14,11 +16,14 @@ from dcknap import (
     build_tree_headleft,
     dp_solve,
     pair_feasible,
+    proctors_from_rate,
     prune,
     slack_condition_holds,
     split_demand,
     to_dot,
 )
+from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS
+from dcknap.solvers import SORT_KEYS
 from conftest import random_instance
 
 GAMMA = SortCriterion("specific_weight")
@@ -204,6 +209,56 @@ def _random_tree(rng, n=None):
     min_size = int(rng.integers(1, 5))
     tree = build_tree(inst, algorithm, sort, fraction=fraction, min_size=min_size, rounding=rounding)
     return inst, tree
+
+
+@st.composite
+def split_cases(draw):
+    """(demand, left capacity, total capacity, rounding) of a valid split."""
+    total = draw(st.integers(2, 10**9))
+    left = draw(st.integers(1, total - 1))
+    return draw(st.integers(0, total)), left, total, draw(st.sampled_from(ROUNDING_MODES))
+
+
+@st.composite
+def trees(draw):
+    """A random feasible instance and a tree over it, every parameter drawn."""
+    caps = draw(st.lists(st.integers(1, 120), min_size=1, max_size=40))
+    inst = ProblemInstance(
+        caps, proctors_from_rate(caps, draw(st.integers(1, 90))),
+        draw(st.integers(0, sum(caps))),
+    )
+    algorithm = draw(st.sampled_from(TREE_ALGORITHMS))
+    fraction = draw(st.fractions(0, 1, max_denominator=20)) if algorithm == "hlT" else None
+    key = draw(st.sampled_from(SORT_KEYS))
+    sort = SortCriterion(key, seed=draw(st.integers(0, 2**32)) if key == "random" else None)
+    tree = build_tree(
+        inst, algorithm, sort, fraction=fraction,
+        min_size=draw(st.integers(1, 5)), rounding=draw(st.sampled_from(ROUNDING_MODES)),
+    )
+    return inst, tree
+
+
+class TestTreeProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(split_cases())
+    def test_split_demand_conserves_demand(self, case):
+        demand, left, total, rounding = case
+        d_left, d_right = split_demand(demand, left, total, rounding)
+        assert d_left + d_right == demand
+        # d_left is the proportional share rounded the requested way
+        share = Fraction(demand * left, total)
+        assert d_left - 1 < share <= d_left if rounding == "ceil" else d_left <= share < d_left + 1
+        assert 0 <= d_left <= left and 0 <= d_right <= total - left
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(trees())
+    def test_prune_partitions_rooms_and_demand(self, case):
+        inst, tree = case
+        for h in range(tree.height + 1):
+            leaves = prune(tree, h)
+            assert sorted(i for leaf in leaves for i in leaf.rooms) == list(range(inst.n_rooms))
+            assert sum(leaf.demand for leaf in leaves) == inst.demand
+            assert all(leaf.demand <= tree.subinstance(leaf).total_capacity for leaf in leaves)
 
 
 class TestTreeInvariants:

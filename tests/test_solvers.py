@@ -336,10 +336,6 @@ class TestSortCriterion:
         inst = ProblemInstance((10, 10, 10), (1, 1, 1), 5)
         assert SortCriterion("capacity").order(inst) == [0, 1, 2]
 
-    def test_ascending_direction(self):
-        inst = ProblemInstance((3, 1, 2), (1, 1, 1), 2)
-        assert SortCriterion("capacity", descending=False).order(inst) == [1, 2, 0]
-
     def test_random_is_deterministic_given_seed(self):
         inst = ProblemInstance((3, 1, 2, 9), (1, 1, 1, 2), 2)
         a = SortCriterion("random", seed=99).order(inst)
