@@ -13,21 +13,18 @@ from .errors import (
     InvalidParameterError,
     InvalidPartitionError,
     SizeLimitError,
-    SplitInfeasibleError,
 )
 from .model import (
     ProblemInstance,
     Selection,
     proctors_from_rate,
     specific_weights,
-    to_standard_knapsack,
 )
 from .solvers import (
     LPRelaxation,
     SolutionTriple,
     SortCriterion,
     associated_integer_solution,
-    brute_force_solve,
     dp_solve,
     greedy_solve,
     lp_relax_solve,
@@ -41,9 +38,7 @@ from .dctree import (
     build_tree,
     build_tree_balanced,
     build_tree_headleft,
-    pair_feasible,
     prune,
-    slack_condition_holds,
     split_demand,
     to_dot,
 )

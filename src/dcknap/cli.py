@@ -21,12 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dctree import BALANCED, HEAD_LEFT, ROUNDING_MODES, TREE_ALGORITHMS, build_tree, to_dot
-from .errors import (
-    ConfigError,
-    InfeasibleError,
-    InvalidParameterError,
-    SplitInfeasibleError,
-)
+from .errors import ConfigError, InfeasibleError, InvalidParameterError
 from .metrics import (
     AGGREGATIONS,
     ALL_METRICS,
@@ -241,12 +236,12 @@ def parse_config(text: str) -> ExperimentConfig:
         head_fraction = Fraction(1, 2)
 
     kwargs = {key: v for key, v in values.items() if key in _PARAM_FIELDS}
-    kwargs.update(
-        tree_alg=algorithms[0],
-        sort=_sort_criterion(values.get("sort", "specific_weight"), values.get("sort_seed")),
-        head_fraction=head_fraction,
-    )
     try:
+        kwargs.update(
+            tree_alg=algorithms[0],
+            sort=_sort_criterion(values.get("sort", "specific_weight"), values.get("sort_seed")),
+            head_fraction=head_fraction,
+        )
         params = ExperimentParams(**kwargs)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
@@ -379,9 +374,6 @@ def cmd_experiment(args) -> int:
                 start = metric_start_height(name)
                 for h, value in enumerate(result.average.metric(name), start=start):
                     plot_rows.append([algorithm, strategy, name, h, format_2dec(value)])
-        resampled = sum(r.resampled for r in results.values())
-        if resampled:
-            print(f"{algorithm}: resampled {resampled} realizations after infeasible splits")
 
     if sweep_var is not None and len(algorithms) == 2:
         modes = [per_alg[a][1] for a in algorithms]
@@ -485,7 +477,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleError, SplitInfeasibleError) as exc:
+    except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, InvalidParameterError, UnicodeDecodeError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidParameterError, InvalidPartitionError, SplitInfeasibleError
+from .errors import InvalidParameterError, InvalidPartitionError
 from .model import ProblemInstance
 from .rounding import as_fraction
 from .solvers import SolutionTriple, SortCriterion
@@ -34,6 +34,17 @@ def split_demand(
 
     The left child gets round(parent_demand * left_caps_sum / total_caps_sum)
     with the requested rounding; the right child gets the remainder.
+
+    Neither child is ever handed more demand than its rooms hold.  With
+    D = parent_demand <= T = total_caps_sum, L = left_caps_sum and
+    R = T - L, the left share D*L/T is at most L and the right share D*R/T
+    at most R, so
+
+    * ceil: ceil(D*L/T) <= L, and D - ceil(D*L/T) <= D*R/T <= R;
+    * floor: floor(D*L/T) <= L, and D - floor(D*L/T) < D*R/T + 1 <= R + 1,
+      so the integer right demand is at most R.
+
+    A split of a feasible parent therefore always yields feasible children.
     """
     if rounding not in ROUNDING_MODES:
         raise InvalidParameterError(f"rounding must be one of {ROUNDING_MODES}")
@@ -52,23 +63,6 @@ def split_demand(
     else:
         d_left = num // total_caps_sum
     return d_left, parent_demand - d_left
-
-
-def pair_feasible(
-    left_caps_sum: int, right_caps_sum: int, d_left: int, d_right: int
-) -> bool:
-    """Both subproblems of a split are solvable iff neither side is overloaded."""
-    return d_left <= left_caps_sum and d_right <= right_caps_sum
-
-
-def slack_condition_holds(total_caps: int, right_caps: int, demand: int) -> bool:
-    """Sufficient slack for a floor split to leave both children feasible.
-
-    Exact rational test of demand <= (right_caps - 1) / right_caps * total_caps.
-    """
-    if right_caps < 1:
-        raise InvalidParameterError("right-side capacity must be >= 1")
-    return demand * right_caps <= (right_caps - 1) * total_caps
 
 
 @dataclass(frozen=True)
@@ -174,13 +168,6 @@ def _build(instance, params):
         d_left, d_right = split_demand(
             demand, left_caps, left_caps + right_caps, params.rounding
         )
-        if not pair_feasible(left_caps, right_caps, d_left, d_right):
-            bad = (
-                (node.index, left_rooms, d_left, left_caps)
-                if d_left > left_caps
-                else (node.index, right_rooms, d_right, right_caps)
-            )
-            raise SplitInfeasibleError(bad[0], tuple(bad[1]), bad[2], bad[3])
         node.left = grow(left_rooms, d_left, height + 1)
         node.right = grow(right_rooms, d_right, height + 1)
         return node

@@ -16,10 +16,9 @@ class InvalidParameterError(DcknapError, ValueError):
 
 
 class SizeLimitError(InvalidParameterError):
-    """A routine was asked for more than it can enumerate or allocate.
+    """A routine was asked for more than it can allocate.
 
-    Raised by the brute-force oracle past its room limit and by the exact
-    DP before allocating a table past its cell limit.
+    Raised by the exact DP before allocating a table past its cell limit.
     """
 
 
@@ -37,20 +36,6 @@ class InfeasibleError(DcknapError):
         super().__init__(
             f"demand {demand} exceeds total capacity {total_capacity} "
             f"by {self.deficit}"
-        )
-
-
-class SplitInfeasibleError(DcknapError):
-    """A generated child subproblem cannot satisfy its assigned demand."""
-
-    def __init__(self, vertex: int, rooms: tuple, demand: int, capacity: int):
-        self.vertex = vertex
-        self.rooms = rooms
-        self.demand = demand
-        self.capacity = capacity
-        super().__init__(
-            f"vertex {vertex}: assigned demand {demand} exceeds capacity "
-            f"{capacity} of rooms {list(rooms)}"
         )
 
 

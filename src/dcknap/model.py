@@ -1,5 +1,5 @@
 """Core problem data: rooms with capacities and proctor costs, a student
-demand, and the complement transform to a standard 0/1 knapsack.
+demand, and 0/1 room selections.
 
 The covering problem asks for a cheapest set of rooms whose joint capacity
 meets the demand:
@@ -115,9 +115,6 @@ class Selection:
         """Total capacity of the chosen rooms."""
         return sum(c for c, b in zip(instance.capacities, self.chosen) if b)
 
-    def complement(self) -> "Selection":
-        return Selection(tuple(not b for b in self.chosen))
-
     def is_feasible(self, instance: ProblemInstance) -> bool:
         return self.load(instance) >= instance.demand
 
@@ -139,16 +136,3 @@ def specific_weights(instance: ProblemInstance) -> tuple[Fraction, ...]:
         Fraction(c, p) for c, p in zip(instance.capacities, instance.proctors)
     )
 
-
-def to_standard_knapsack(instance: ProblemInstance):
-    """Complement transform to a max-profit 0/1 knapsack.
-
-    Returns (budget, items) with budget = total capacity - demand and one
-    (weight, profit) = (capacity, proctors) item per room.  A max-profit
-    subset xi of the knapsack maps to an optimal cover x = 1 - xi whose cost
-    is total proctors - profit(xi).
-    """
-    instance.require_feasible()
-    budget = instance.total_capacity - instance.demand
-    items = list(zip(instance.capacities, instance.proctors))
-    return budget, items

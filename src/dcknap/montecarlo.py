@@ -2,7 +2,7 @@
 
 Room capacities are drawn from one of three distributions (uniform integers
 on [40, 120], Poisson with mean 65, or Binomial(480, 0.2), the latter two
-resampled on a zero draw), and the demand of a realization is
+redrawn on a zero draw), and the demand of a realization is
 floor(occupancy * total capacity).
 
 Every random stream is derived from a single master seed with a stable
@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dctree import BALANCED, HEAD_LEFT, TreeParams, build_tree
-from .errors import InvalidParameterError, SplitInfeasibleError
+from .errors import InvalidParameterError
 from .metrics import EfficiencySeries, average_series, solve_tree
 from .model import ProblemInstance, proctors_from_rate
 from .rounding import as_fraction
@@ -30,8 +30,6 @@ DISTRIBUTIONS = ("uniform", "poisson", "binomial")
 UNIFORM_LOW, UNIFORM_HIGH = 40, 120  # inclusive support
 POISSON_MEAN = 65
 BINOMIAL_TRIALS, BINOMIAL_P = 480, 0.2
-
-_MAX_RESAMPLE_ATTEMPTS = 20
 
 SWEEP_VARIABLES = ("o", "r", "s", "f")
 
@@ -153,37 +151,30 @@ class ExperimentResult:
     params: ExperimentParams
     average: EfficiencySeries
     series: tuple[EfficiencySeries, ...]  # per realization, in index order
-    resampled: int  # realizations redrawn after an infeasible split
 
 
-def _realization_series(params: ExperimentParams, index: int) -> tuple[EfficiencySeries, int]:
-    """Series for realization `index`, resampling on infeasible splits."""
-    retries = 0
-    last_error = None
-    for attempt in range(_MAX_RESAMPLE_ATTEMPTS + 1):
-        caps_seed = derive_seed(params.master_seed, index, attempt, "capacities")
-        realization = make_realization(
-            params.dist, params.n_rooms, params.occupancy, caps_seed
-        )
-        instance = build_instance(realization, params.rate)
-        sort = params.sort
-        if sort.key == "random" and sort.seed is None:
-            sort = replace(sort, seed=derive_seed(params.master_seed, index, attempt, "sort"))
-        try:
-            tree = build_tree(
-                instance,
-                params.tree_alg,
-                sort,
-                fraction=params.head_fraction,
-                min_size=params.min_size,
-                rounding=params.rounding,
-            )
-        except SplitInfeasibleError as exc:
-            retries += 1
-            last_error = exc
-            continue
-        return solve_tree(tree), retries
-    raise last_error
+def _realization_series(params: ExperimentParams, index: int) -> EfficiencySeries:
+    """Series of realization `index`: sample, build its tree and solve it.
+
+    A split never overloads a child (see `split_demand`), so every draw is
+    used.  The 0 in both seeds is part of the seed format: changing it
+    changes every output.
+    """
+    caps_seed = derive_seed(params.master_seed, index, 0, "capacities")
+    realization = make_realization(params.dist, params.n_rooms, params.occupancy, caps_seed)
+    instance = build_instance(realization, params.rate)
+    sort = params.sort
+    if sort.key == "random" and sort.seed is None:
+        sort = replace(sort, seed=derive_seed(params.master_seed, index, 0, "sort"))
+    tree = build_tree(
+        instance,
+        params.tree_alg,
+        sort,
+        fraction=params.head_fraction,
+        min_size=params.min_size,
+        rounding=params.rounding,
+    )
+    return solve_tree(tree)
 
 
 def run_experiment(params: ExperimentParams) -> ExperimentResult:
@@ -192,10 +183,8 @@ def run_experiment(params: ExperimentParams) -> ExperimentResult:
     Output is a pure function of `params`: realizations are seeded by index
     and reduced in index order.
     """
-    outcomes = [_realization_series(params, i) for i in range(params.realizations)]
-    series = tuple(s for s, _ in outcomes)
-    resampled = sum(r for _, r in outcomes)
-    return ExperimentResult(params, average_series(series), series, resampled)
+    series = tuple(_realization_series(params, i) for i in range(params.realizations))
+    return ExperimentResult(params, average_series(series), series)
 
 
 def default_domain(variable: str):
@@ -272,7 +261,10 @@ def write_rooms_csv(stream, realizations, labels=None) -> None:
 
 def read_rooms_csv(stream) -> list[tuple[str, tuple[int, ...], int]]:
     """Parse a rooms CSV back into (label, capacities, demand) columns."""
-    rows = list(csv.reader(stream))
+    try:
+        rows = list(csv.reader(stream))
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise InvalidParameterError(f"not a rooms CSV: {exc}") from exc
     if not rows or not rows[0] or rows[0][0] != "room":
         raise InvalidParameterError("not a rooms CSV: missing 'room' header")
     labels = rows[0][1:]

@@ -7,8 +7,6 @@
   ties go to the lexicographically smallest cover;
 * linear-relaxation lower bound (LRS): closed form, at most one fractional
   room, computed exactly as a Fraction.
-
-A brute-force enumerator is included as a testing oracle.
 """
 
 from __future__ import annotations
@@ -19,12 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .model import ProblemInstance, Selection, specific_weights, to_standard_knapsack
+from .model import ProblemInstance, Selection, specific_weights
 
 SORT_KEYS = ("proctors", "capacity", "specific_weight", "random")
-
-_BRUTE_FORCE_MAX_ROOMS = 24
-_BRUTE_FORCE_CHUNK = 1 << 16
 
 #: Largest exact-DP table, in int32 cells (1 GiB).
 DP_MAX_CELLS = 1 << 28
@@ -35,7 +30,8 @@ class SortCriterion:
     """How to order a room list before splitting or solving.
 
     Keys sort descending and ties break by ascending position, so orderings
-    are reproducible.  The `random` key shuffles with the given seed.
+    are reproducible.  The `random` key shuffles with the given seed, an
+    int >= 0.
     """
 
     key: str = "specific_weight"
@@ -46,6 +42,8 @@ class SortCriterion:
             raise InvalidParameterError(
                 f"unknown sort key {self.key!r}; expected one of {SORT_KEYS}"
             )
+        if self.seed is not None and self.seed < 0:
+            raise InvalidParameterError(f"sort seed must be >= 0, got {self.seed}")
 
     def order(self, instance: ProblemInstance) -> list[int]:
         """Room positions of `instance` in sorted order."""
@@ -175,7 +173,8 @@ def dp_solve(instance: ProblemInstance, bound: int | None = None) -> tuple[Selec
     room order) is returned.  A table of more than `DP_MAX_CELLS` cells
     raises SizeLimitError before anything is allocated.
     """
-    budget, _ = to_standard_knapsack(instance)
+    instance.require_feasible()
+    budget = instance.total_capacity - instance.demand
     n = instance.n_rooms
     caps = instance.capacities
     prices = instance.proctors
@@ -217,40 +216,6 @@ def dp_solve(instance: ProblemInstance, bound: int | None = None) -> tuple[Selec
                 chosen[i] = False
                 w -= caps[i]
     return Selection(tuple(chosen)), value
-
-
-def brute_force_solve(instance: ProblemInstance) -> tuple[Selection, int]:
-    """Exhaustive oracle over all 2^n selections; same tie-break as dp_solve."""
-    n = instance.n_rooms
-    if n > _BRUTE_FORCE_MAX_ROOMS:
-        raise SizeLimitError(
-            f"brute force supports at most {_BRUTE_FORCE_MAX_ROOMS} rooms, got {n}"
-        )
-    instance.require_feasible()
-    caps = np.array(instance.capacities, dtype=np.int64)
-    prices = np.array(instance.proctors, dtype=np.int64)
-    bit_positions = np.arange(n)
-    # Room 0 is the most significant digit of the lexicographic key.
-    lex_weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    best = None  # (value, lex_key, chosen tuple)
-    total = 1 << n
-    for start in range(0, total, _BRUTE_FORCE_CHUNK):
-        masks = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total), dtype=np.int64)
-        bits = (masks[:, None] >> bit_positions) & 1
-        feasible = bits @ caps >= instance.demand
-        if not feasible.any():
-            continue
-        bits = bits[feasible]
-        values = bits @ prices
-        vmin = values.min()
-        candidates = bits[values == vmin]
-        keys = candidates @ lex_weights
-        k = int(keys.argmin())
-        entry = (int(vmin), int(keys[k]), tuple(bool(b) for b in candidates[k]))
-        if best is None or entry[:2] < best[:2]:
-            best = entry
-    return Selection(best[2]), best[0]
 
 
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcknap import ProblemInstance, proctors_from_rate
+from dcknap import ProblemInstance, Selection, SizeLimitError, proctors_from_rate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -41,6 +41,44 @@ def random_instance(rng: np.random.Generator, n=None, with_rate=True):
     occupancy = rng.choice([0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
     demand = int(occupancy * sum(caps))
     return ProblemInstance(caps, proctors, demand)
+
+
+_BRUTE_FORCE_MAX_ROOMS = 24
+_BRUTE_FORCE_CHUNK = 1 << 16
+
+
+def brute_force_solve(instance: ProblemInstance) -> tuple[Selection, int]:
+    """Exhaustive oracle over all 2^n selections; same tie-break as dp_solve."""
+    n = instance.n_rooms
+    if n > _BRUTE_FORCE_MAX_ROOMS:
+        raise SizeLimitError(
+            f"brute force supports at most {_BRUTE_FORCE_MAX_ROOMS} rooms, got {n}"
+        )
+    instance.require_feasible()
+    caps = np.array(instance.capacities, dtype=np.int64)
+    prices = np.array(instance.proctors, dtype=np.int64)
+    bit_positions = np.arange(n)
+    # Room 0 is the most significant digit of the lexicographic key.
+    lex_weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    best = None  # (value, lex_key, chosen tuple)
+    total = 1 << n
+    for start in range(0, total, _BRUTE_FORCE_CHUNK):
+        masks = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total), dtype=np.int64)
+        bits = (masks[:, None] >> bit_positions) & 1
+        feasible = bits @ caps >= instance.demand
+        if not feasible.any():
+            continue
+        bits = bits[feasible]
+        values = bits @ prices
+        vmin = values.min()
+        candidates = bits[values == vmin]
+        keys = candidates @ lex_weights
+        k = int(keys.argmin())
+        entry = (int(vmin), int(keys[k]), tuple(bool(b) for b in candidates[k]))
+        if best is None or entry[:2] < best[:2]:
+            best = entry
+    return Selection(best[2]), best[0]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

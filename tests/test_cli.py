@@ -173,6 +173,14 @@ class TestTree:
         assert code == 2
         assert "--fraction" in err
 
+    def test_negative_sort_seed_exits_2(self, rooms_csv, capsys):
+        code, out, err = run(
+            capsys, "tree", str(rooms_csv), "--sort", "random", "--sort-seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sort seed must be >= 0")
+
     def test_fraction_rejected_for_balanced(self, rooms_csv, capsys):
         code, _, err = run(
             capsys, "tree", str(rooms_csv), "--tree", "blT", "--fraction", "0.4"
@@ -281,6 +289,7 @@ class TestExperiment:
             "rounding=xyz",
             "min_size=0",
             "head_fraction=3/2",
+            "sort=random\nsort_seed=-1",
         ],
     )
     def test_bad_config_number_exits_2(self, tmp_path, capsys, line):
@@ -294,6 +303,7 @@ class TestExperiment:
             "rounding=xyz": "error: rounding must be one of",
             "min_size=0": "error: min_size must be >= 1",
             "head_fraction=3/2": "error: head fraction must lie in [0, 1]",
+            "sort=random\nsort_seed=-1": "error: sort seed must be >= 0",
         }.get(line, f"error: {key}: cannot parse")
         assert err.startswith(expected)
         assert not out_dir.exists()

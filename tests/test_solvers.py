@@ -13,7 +13,6 @@ from dcknap import (
     SizeLimitError,
     SortCriterion,
     associated_integer_solution,
-    brute_force_solve,
     dp_solve,
     greedy_solve,
     lp_relax_solve,
@@ -21,7 +20,7 @@ from dcknap import (
     solve_triple,
 )
 import dcknap.solvers
-from conftest import random_instance
+from conftest import brute_force_solve, random_instance
 
 MICRO = ProblemInstance((100, 40), (4, 2), 40)
 
@@ -79,6 +78,11 @@ class TestGreedy:
 
 
 class TestDP:
+    def test_infeasible_carries_deficit(self):
+        with pytest.raises(InfeasibleError) as exc:
+            dp_solve(ProblemInstance((10, 10), (1, 1), 25))
+        assert exc.value.deficit == 5
+
     def test_micro_example(self):
         selection, value = dp_solve(MICRO)
         assert value == 2
@@ -351,6 +355,10 @@ class TestSortCriterion:
     def test_unknown_key(self):
         with pytest.raises(InvalidParameterError):
             SortCriterion("alphabetical")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="sort seed must be >= 0"):
+            SortCriterion("random", seed=-1)
 
 
 def test_determinism_end_to_end(r1_instance):
