@@ -79,7 +79,54 @@ class TestGenerate:
         assert not out.exists()
 
 
+README_SOLVE = """\
+column=realization_1 rooms=8 total_capacity=704 demand=633 rate=54
+LRS 14.12 support=1,7,2,3,5,4,6,0 fractional_room=0
+DPS 15 rooms=0,2,3,4,5,6,7
+GAS 16 rooms=0,1,2,3,4,5,6,7
+"""
+
+README_TREE = """\
+room,vertex_0,vertex_1,vertex_2,vertex_3,vertex_4,vertex_5,vertex_6
+1,1,1,1,0,0,0,0
+7,1,1,1,0,0,0,0
+2,1,1,0,1,0,0,0
+3,1,1,0,1,0,0,0
+5,1,0,0,0,1,1,0
+4,1,0,0,0,1,1,0
+6,1,0,0,0,1,0,1
+0,1,0,0,0,1,0,1
+demand,633,309,144,165,324,155,169
+"""
+
+README_DOT = """\
+digraph dctree {
+  v0 [label="D=633 |V|=8"];
+  v1 [label="D=309 |V|=4"];
+  v2 [label="D=144 |V|=2"];
+  v3 [label="D=165 |V|=2"];
+  v4 [label="D=324 |V|=4"];
+  v5 [label="D=155 |V|=2"];
+  v6 [label="D=169 |V|=2"];
+  v0 -> v1;
+  v0 -> v4;
+  v1 -> v2;
+  v1 -> v3;
+  v4 -> v5;
+  v4 -> v6;
+}
+"""
+
+
 class TestSolve:
+    def test_readme_output_verbatim(self, rooms_csv, capsys):
+        code, out, _ = run(
+            capsys, "solve", str(rooms_csv), "--column", "1", "--rate", "54",
+            "--solver", "all",
+        )
+        assert code == 0
+        assert out == README_SOLVE
+
     def test_realization_one_triple(self, rooms_csv, capsys):
         code, out, _ = run(
             capsys, "solve", str(rooms_csv), "--column", "1", "--rate", "54",
@@ -137,6 +184,17 @@ class TestSolve:
 
 
 class TestTree:
+    def test_readme_output_verbatim(self, rooms_csv, tmp_path, capsys):
+        dot = tmp_path / "tree.dot"
+        code, out, _ = run(
+            capsys, "tree", str(rooms_csv), "--column", "1", "--rate", "54",
+            "--tree", "hlT", "--sort", "specific-weight", "--fraction", "0.5",
+            "--min-size", "2", "--rounding", "ceil", "--dot-out", str(dot),
+        )
+        assert code == 0
+        assert out == README_TREE
+        assert dot.read_text() == README_DOT
+
     def test_head_left_demand_row(self, rooms_csv, capsys):
         code, out, _ = run(
             capsys, "tree", str(rooms_csv), "--column", "1", "--rate", "54",
