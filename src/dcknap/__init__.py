@@ -16,7 +16,6 @@ from .errors import (
 )
 from .model import (
     ProblemInstance,
-    Selection,
     proctors_from_rate,
     specific_weights,
 )
@@ -24,7 +23,6 @@ from .solvers import (
     LPRelaxation,
     SolutionTriple,
     SortCriterion,
-    associated_integer_solution,
     dp_solve,
     greedy_solve,
     lp_relax_solve,

@@ -38,10 +38,9 @@ from .montecarlo import (
     DISTRIBUTIONS,
     SWEEP_VARIABLES,
     ExperimentParams,
-    derive_seed,
-    make_realization,
     read_rooms_csv,
     run_experiment,
+    seeded_realization,
     sweep,
     write_rooms_csv,
 )
@@ -70,12 +69,7 @@ def _value_label(value) -> str:
 
 def cmd_generate(args) -> int:
     realizations = [
-        make_realization(
-            args.dist,
-            args.n,
-            args.occupancy,
-            derive_seed(args.seed, k, 0, "capacities"),
-        )
+        seeded_realization(args.dist, args.n, args.occupancy, args.seed, k)
         for k in range(args.count)
     ]
     text = io.StringIO()
@@ -90,53 +84,52 @@ def cmd_generate(args) -> int:
 # solve
 
 
-def _load_column(path, column):
-    with open(path, newline="") as stream:
+def _load_column(args) -> tuple[str, ProblemInstance]:
+    """(label, instance) of column `args.column` of the rooms CSV `args.file`,
+    priced at `args.rate` students per proctor."""
+    with open(args.file, newline="") as stream:
         columns = read_rooms_csv(stream)
-    by_label = {label: (label, caps, demand) for label, caps, demand in columns}
-    if column in by_label:
-        return by_label[column]
+    by_label = {column[0]: column for column in columns}
     try:
-        k = int(column)
+        k = int(args.column)
     except ValueError:
         k = None
-    if k is not None and 1 <= k <= len(columns):
-        return columns[k - 1]
-    raise InvalidParameterError(
-        f"no column {column!r} in {path}; available: {[c[0] for c in columns]}"
-    )
+    if args.column in by_label:
+        label, caps, demand = by_label[args.column]
+    elif k is not None and 1 <= k <= len(columns):
+        label, caps, demand = columns[k - 1]
+    else:
+        raise InvalidParameterError(
+            f"no column {args.column!r} in {args.file}; "
+            f"available: {[c[0] for c in columns]}"
+        )
+    return label, ProblemInstance(caps, proctors_from_rate(caps, args.rate), demand)
 
 
-def _ids(instance, selection) -> str:
-    return ",".join(str(instance.room_ids[i]) for i in selection.indices())
+def _ids(rooms) -> str:
+    return ",".join(str(i) for i in rooms)
 
 
 def cmd_solve(args) -> int:
-    label, caps, demand = _load_column(args.file, args.column)
-    instance = ProblemInstance(
-        capacities=caps,
-        proctors=proctors_from_rate(caps, args.rate),
-        demand=demand,
-    )
+    label, instance = _load_column(args)
     print(
         f"column={label} rooms={instance.n_rooms} "
-        f"total_capacity={instance.total_capacity} demand={demand} rate={args.rate}"
+        f"total_capacity={instance.total_capacity} demand={instance.demand} "
+        f"rate={args.rate}"
     )
     if args.solver in ("lp", "all"):
         relax = lp_relax_solve(instance)
-        frac = (
-            "none"
-            if relax.fractional_index is None
-            else str(instance.room_ids[relax.fractional_index])
+        frac = "none" if relax.fractional_index is None else relax.fractional_index
+        print(
+            f"LRS {format_2dec(relax.value)} support={_ids(relax.support)} "
+            f"fractional_room={frac}"
         )
-        support = ",".join(str(instance.room_ids[i]) for i in relax.support)
-        print(f"LRS {format_2dec(relax.value)} support={support} fractional_room={frac}")
     if args.solver in ("dp", "all"):
-        selection, value = dp_solve(instance)
-        print(f"DPS {value} rooms={_ids(instance, selection)}")
+        rooms, value = dp_solve(instance)
+        print(f"DPS {value} rooms={_ids(rooms)}")
     if args.solver in ("greedy", "all"):
-        selection, value = greedy_solve(instance)
-        print(f"GAS {value} rooms={_ids(instance, selection)}")
+        rooms, value = greedy_solve(instance)
+        print(f"GAS {value} rooms={_ids(rooms)}")
     return 0
 
 
@@ -145,12 +138,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    label, caps, demand = _load_column(args.file, args.column)
-    instance = ProblemInstance(
-        capacities=caps,
-        proctors=proctors_from_rate(caps, args.rate),
-        demand=demand,
-    )
+    _, instance = _load_column(args)
     tree = build_tree(
         instance,
         args.tree,
@@ -162,9 +150,9 @@ def cmd_tree(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["room", *(f"vertex_{node.index}" for node in tree.nodes)])
     for position in tree.root.rooms:  # rows in root (sorted) order
-        row = [instance.room_ids[position]]
-        row.extend(1 if position in node.rooms else 0 for node in tree.nodes)
-        writer.writerow(row)
+        writer.writerow(
+            [position, *(1 if position in node.rooms else 0 for node in tree.nodes)]
+        )
     writer.writerow(["demand", *(node.demand for node in tree.nodes)])
     if args.dot_out:
         Path(args.dot_out).write_text(to_dot(tree))

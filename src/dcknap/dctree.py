@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import InvalidParameterError, InvalidPartitionError
 from .model import ProblemInstance
 from .rounding import as_fraction
-from .solvers import SolutionTriple, SortCriterion
+from .solvers import SortCriterion
 
 ROUNDING_MODES = ("ceil", "floor")
 
@@ -112,7 +112,6 @@ class DCNode:
     index: int  # pre-order vertex number
     left: "DCNode | None" = None
     right: "DCNode | None" = None
-    triple: SolutionTriple | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -137,7 +136,6 @@ class DCTree:
             capacities=tuple(inst.capacities[i] for i in node.rooms),
             proctors=tuple(inst.proctors[i] for i in node.rooms),
             demand=node.demand,
-            room_ids=tuple(inst.room_ids[i] for i in node.rooms),
         )
 
 

@@ -74,7 +74,7 @@ def _pct(numerator, denominator) -> Fraction:
 @dataclass(frozen=True)
 class EfficiencySeries:
     """Per-height solution sums and efficiencies of one solved tree, or their
-    exact mean over `realization_count` trees.
+    exact mean over several trees.
 
     The soln/GbE/GAE/LRE tuples are indexed by height 0..H; the SwE tuples
     cover heights 1..H (index h-1).  One tree's DPS and GAS sums are ints.
@@ -91,7 +91,6 @@ class EfficiencySeries:
     swe_gas: tuple[Fraction, ...]
     gae: tuple[Fraction, ...]
     lre: tuple[Fraction, ...]
-    realization_count: int = 1
 
     @property
     def height(self) -> int:
@@ -106,17 +105,15 @@ class EfficiencySeries:
 
 def solve_tree(tree: DCTree) -> EfficiencySeries:
     """Solve every node of the tree and compute the per-height series."""
-    for node in tree.nodes:
-        if node.triple is None:
-            node.triple = solve_triple(tree.subinstance(node))
+    triples = [solve_triple(tree.subinstance(node)) for node in tree.nodes]
 
     heights = range(tree.height + 1)
     lrs, dps, gas = [], [], []
     for h in heights:
-        leaves = prune(tree, h)
-        lrs.append(sum((leaf.triple.lrs for leaf in leaves), Fraction(0)))
-        dps.append(sum(leaf.triple.dps for leaf in leaves))
-        gas.append(sum(leaf.triple.gas for leaf in leaves))
+        leaves = [triples[leaf.index] for leaf in prune(tree, h)]
+        lrs.append(sum((t.lrs for t in leaves), Fraction(0)))
+        dps.append(sum(t.dps for t in leaves))
+        gas.append(sum(t.gas for t in leaves))
 
     columns = {
         "LRS": tuple(lrs),
@@ -152,10 +149,7 @@ def average_series(series: Sequence[EfficiencySeries]) -> EfficiencySeries:
             for i in range(len(columns[0]))
         )
 
-    return EfficiencySeries(
-        **{name.lower(): mean_field(name) for name in ALL_METRICS},
-        realization_count=k,
-    )
+    return EfficiencySeries(**{name.lower(): mean_field(name) for name in ALL_METRICS})
 
 
 def critical_height(

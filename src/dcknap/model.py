@@ -1,5 +1,6 @@
-"""Core problem data: rooms with capacities and proctor costs, a student
-demand, and 0/1 room selections.
+"""Core problem data: rooms with capacities and proctor costs, and a student
+demand.  A room is identified by its position; a cover is an ascending
+tuple of positions.
 
 The covering problem asks for a cheapest set of rooms whose joint capacity
 meets the demand:
@@ -22,32 +23,21 @@ MAX_TOTAL_CAPACITY = 2**31 - 1
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One covering-knapsack instance.
-
-    Room identity is the stable `room_ids` label (defaults to the original
-    position); solvers never re-identify rooms after sorting.
-    """
+    """One covering-knapsack instance; room i is position i of both tuples."""
 
     capacities: tuple[int, ...]  # students per room, all >= 1
     proctors: tuple[int, ...]  # cost per room, all >= 1
     demand: int  # students to place, >= 0
-    room_ids: tuple = None  # opaque labels aligned with capacities
 
     def __post_init__(self):
         object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
         object.__setattr__(self, "proctors", tuple(int(p) for p in self.proctors))
         object.__setattr__(self, "demand", int(self.demand))
-        if self.room_ids is None:
-            object.__setattr__(self, "room_ids", tuple(range(len(self.capacities))))
-        else:
-            object.__setattr__(self, "room_ids", tuple(self.room_ids))
         n = len(self.capacities)
         if n < 1:
             raise InvalidParameterError("an instance needs at least one room")
-        if len(self.proctors) != n or len(self.room_ids) != n:
-            raise InvalidParameterError(
-                "capacities, proctors and room_ids must have equal length"
-            )
+        if len(self.proctors) != n:
+            raise InvalidParameterError("capacities and proctors must have equal length")
         if any(c < 1 for c in self.capacities):
             raise InvalidParameterError("all capacities must be >= 1")
         if any(p < 1 for p in self.proctors):
@@ -81,42 +71,6 @@ class ProblemInstance:
     def require_feasible(self):
         if not self.is_feasible():
             raise InfeasibleError(self.demand, self.total_capacity)
-
-
-@dataclass(frozen=True)
-class Selection:
-    """A 0/1 choice of rooms, aligned with an instance's room order."""
-
-    chosen: tuple[bool, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "chosen", tuple(bool(b) for b in self.chosen))
-
-    @classmethod
-    def zeros(cls, n: int) -> "Selection":
-        return cls((False,) * n)
-
-    @classmethod
-    def from_indices(cls, indices, n: int) -> "Selection":
-        taken = set(indices)
-        return cls(tuple(i in taken for i in range(n)))
-
-    def __len__(self) -> int:
-        return len(self.chosen)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.chosen) if b)
-
-    def value(self, instance: ProblemInstance) -> int:
-        """Total proctor cost of the chosen rooms."""
-        return sum(p for p, b in zip(instance.proctors, self.chosen) if b)
-
-    def load(self, instance: ProblemInstance) -> int:
-        """Total capacity of the chosen rooms."""
-        return sum(c for c, b in zip(instance.capacities, self.chosen) if b)
-
-    def is_feasible(self, instance: ProblemInstance) -> bool:
-        return self.load(instance) >= instance.demand
 
 
 def proctors_from_rate(capacities, rate: int) -> tuple[int, ...]:

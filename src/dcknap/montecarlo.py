@@ -84,7 +84,6 @@ class Realization:
 
     capacities: tuple[int, ...]
     demand: int
-    seed: int  # seed the capacities were drawn with
 
 
 def make_realization(dist: str, n: int, occupancy, seed: int) -> Realization:
@@ -92,7 +91,20 @@ def make_realization(dist: str, n: int, occupancy, seed: int) -> Realization:
     if not 0 < o <= 1:
         raise InvalidParameterError(f"occupancy must lie in (0, 1], got {o}")
     caps = sample_capacities(dist, n, seed)
-    return Realization(caps, occupancy_demand(o, sum(caps)), seed)
+    return Realization(caps, occupancy_demand(o, sum(caps)))
+
+
+def seeded_realization(
+    dist: str, n: int, occupancy, master_seed: int, index: int
+) -> Realization:
+    """Realization `index` of a master seed: the draw behind realization
+    `index` of an experiment, and column index+1 of `dcknap generate --seed`.
+
+    The 0 in the seed is part of the seed format: changing it changes every
+    output.
+    """
+    seed = derive_seed(master_seed, index, 0, "capacities")
+    return make_realization(dist, n, occupancy, seed)
 
 
 def build_instance(realization: Realization, rate: int) -> ProblemInstance:
@@ -148,7 +160,6 @@ class ExperimentParams:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    params: ExperimentParams
     average: EfficiencySeries
     series: tuple[EfficiencySeries, ...]  # per realization, in index order
 
@@ -157,11 +168,12 @@ def _realization_series(params: ExperimentParams, index: int) -> EfficiencySerie
     """Series of realization `index`: sample, build its tree and solve it.
 
     A split never overloads a child (see `split_demand`), so every draw is
-    used.  The 0 in both seeds is part of the seed format: changing it
-    changes every output.
+    used.  The 0 in the sort seed is part of the seed format, as in
+    `seeded_realization`.
     """
-    caps_seed = derive_seed(params.master_seed, index, 0, "capacities")
-    realization = make_realization(params.dist, params.n_rooms, params.occupancy, caps_seed)
+    realization = seeded_realization(
+        params.dist, params.n_rooms, params.occupancy, params.master_seed, index
+    )
     instance = build_instance(realization, params.rate)
     sort = params.sort
     if sort.key == "random" and sort.seed is None:
@@ -184,7 +196,7 @@ def run_experiment(params: ExperimentParams) -> ExperimentResult:
     and reduced in index order.
     """
     series = tuple(_realization_series(params, i) for i in range(params.realizations))
-    return ExperimentResult(params, average_series(series), series)
+    return ExperimentResult(average_series(series), series)
 
 
 def default_domain(variable: str):

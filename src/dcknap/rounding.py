@@ -7,15 +7,23 @@ moment it is printed.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from numbers import Rational
+
+#: Largest decimal exponent magnitude accepted in text such as "1e-3";
+#: Fraction would compute 10**exponent, which stalls on a huge one.
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT_DIGITS = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
 
 
 def as_fraction(value) -> Fraction:
     """Convert user-facing numbers to an exact Fraction.
 
     Floats go through their shortest decimal repr, so values typed as 0.35
-    become exactly 7/20 instead of the nearest binary double.
+    become exactly 7/20 instead of the nearest binary double.  Text with a
+    decimal exponent beyond MAX_DECIMAL_EXPONENT raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -24,6 +32,12 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
+        match = _EXPONENT_DIGITS.search(value)
+        if match:
+            digits = match.group(1).replace("_", "").lstrip("0")
+            # Five significant digits already exceed the limit.
+            if int(digits[:5] or 0) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"exponent too large in {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .model import ProblemInstance, Selection, specific_weights
+from .model import ProblemInstance, specific_weights
 
 SORT_KEYS = ("proctors", "capacity", "specific_weight", "random")
 
@@ -86,8 +86,6 @@ class SolutionTriple:
     lrs: Fraction
     dps: int
     gas: int
-    greedy_selection: Selection
-    exact_selection: Selection
 
     def __post_init__(self):
         if not self.lrs <= self.dps <= self.gas:
@@ -96,8 +94,9 @@ class SolutionTriple:
             )
 
 
-def greedy_solve(instance: ProblemInstance) -> tuple[Selection, int]:
-    """Feasible cover by descending specific weight; returns it with its cost."""
+def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
+    """Feasible cover by descending specific weight, as (ascending room
+    positions, proctor cost)."""
     return _rounded_up(instance, lp_relax_solve(instance))
 
 
@@ -130,15 +129,12 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     return LPRelaxation(value, fractional, tuple(support))
 
 
-def associated_integer_solution(lp_support, n: int) -> Selection:
-    """Round an LP solution up: chosen iff the room has a positive share."""
-    return Selection.from_indices(lp_support, n)
-
-
-def _rounded_up(instance: ProblemInstance, relax: LPRelaxation) -> tuple[Selection, int]:
+def _rounded_up(
+    instance: ProblemInstance, relax: LPRelaxation
+) -> tuple[tuple[int, ...], int]:
     """The greedy cover: every room of the LP support, the fractional one included."""
-    selection = associated_integer_solution(relax.support, instance.n_rooms)
-    return selection, selection.value(instance)
+    prices = instance.proctors
+    return tuple(sorted(relax.support)), sum(prices[i] for i in relax.support)
 
 
 def _fill_table(weights, values, width: int) -> np.ndarray:
@@ -156,8 +152,11 @@ def _fill_table(weights, values, width: int) -> np.ndarray:
     return table
 
 
-def dp_solve(instance: ProblemInstance, bound: int | None = None) -> tuple[Selection, int]:
-    """Exact minimum-cost cover by dynamic programming on the smaller axis.
+def dp_solve(
+    instance: ProblemInstance, bound: int | None = None
+) -> tuple[tuple[int, ...], int]:
+    """Exact minimum-cost cover by dynamic programming on the smaller axis,
+    as (ascending room positions, proctor cost); () when the demand is 0.
 
     `bound` is an upper bound on the optimum, such as the cost of any
     feasible cover; it defaults to the total proctor count, and a cost-axis
@@ -180,7 +179,7 @@ def dp_solve(instance: ProblemInstance, bound: int | None = None) -> tuple[Selec
     prices = instance.proctors
     demand = instance.demand
     if demand == 0:
-        return Selection.zeros(n), 0
+        return (), 0
     total = instance.total_proctors
     cost_width = total if bound is None else min(bound, total)
     by_cost = cost_width <= budget
@@ -199,34 +198,29 @@ def dp_solve(instance: ProblemInstance, bound: int | None = None) -> tuple[Selec
         value = int(np.searchsorted(table[0], demand))
         if value > width:
             raise InvalidParameterError(f"bound {bound} is below the optimum cost")
-        chosen = [False] * n
+        rooms = []
         left, c = demand, value
         for i in range(n):
             if table[i + 1, c] < left:
-                chosen[i] = True
+                rooms.append(i)
                 left -= caps[i]
                 c -= prices[i]
     else:
         table = _fill_table(caps, prices, width)
         value = total - int(table[0, width])
-        chosen = [True] * n
+        rooms = []
         w = width
         for i in range(n):
             if caps[i] <= w and table[i + 1, w - caps[i]] + prices[i] == table[i, w]:
-                chosen[i] = False
                 w -= caps[i]
-    return Selection(tuple(chosen)), value
+            else:
+                rooms.append(i)
+    return tuple(rooms), value
 
 
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:
     """Run all three procedures on one instance and bundle the results."""
     relax = lp_relax_solve(instance)
-    greedy_selection, gas = _rounded_up(instance, relax)
-    exact_selection, dps = dp_solve(instance, gas)
-    return SolutionTriple(
-        lrs=relax.value,
-        dps=dps,
-        gas=gas,
-        greedy_selection=greedy_selection,
-        exact_selection=exact_selection,
-    )
+    _, gas = _rounded_up(instance, relax)
+    _, dps = dp_solve(instance, gas)
+    return SolutionTriple(lrs=relax.value, dps=dps, gas=gas)

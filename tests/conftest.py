@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcknap import ProblemInstance, Selection, SizeLimitError, proctors_from_rate
+from dcknap import ProblemInstance, SizeLimitError, proctors_from_rate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -47,8 +47,8 @@ _BRUTE_FORCE_MAX_ROOMS = 24
 _BRUTE_FORCE_CHUNK = 1 << 16
 
 
-def brute_force_solve(instance: ProblemInstance) -> tuple[Selection, int]:
-    """Exhaustive oracle over all 2^n selections; same tie-break as dp_solve."""
+def brute_force_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
+    """Exhaustive oracle over all 2^n covers; same form and tie-break as dp_solve."""
     n = instance.n_rooms
     if n > _BRUTE_FORCE_MAX_ROOMS:
         raise SizeLimitError(
@@ -61,7 +61,7 @@ def brute_force_solve(instance: ProblemInstance) -> tuple[Selection, int]:
     # Room 0 is the most significant digit of the lexicographic key.
     lex_weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    best = None  # (value, lex_key, chosen tuple)
+    best = None  # (value, lex_key, ascending positions)
     total = 1 << n
     for start in range(0, total, _BRUTE_FORCE_CHUNK):
         masks = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total), dtype=np.int64)
@@ -75,10 +75,11 @@ def brute_force_solve(instance: ProblemInstance) -> tuple[Selection, int]:
         candidates = bits[values == vmin]
         keys = candidates @ lex_weights
         k = int(keys.argmin())
-        entry = (int(vmin), int(keys[k]), tuple(bool(b) for b in candidates[k]))
+        rooms = tuple(int(i) for i in np.flatnonzero(candidates[k]))
+        entry = (int(vmin), int(keys[k]), rooms)
         if best is None or entry[:2] < best[:2]:
             best = entry
-    return Selection(best[2]), best[0]
+    return best[2], best[0]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,7 +11,6 @@ from dcknap import (
     ExperimentParams,
     ProblemInstance,
     SortCriterion,
-    associated_integer_solution,
     build_tree_balanced,
     build_tree_headleft,
     critical_height,
@@ -63,16 +62,15 @@ def test_criterion_01_worked_micro_examples():
     solve_triple(inst)  # warmup
 
     def check():
-        greedy_selection, greedy_value = greedy_solve(inst)
+        greedy_rooms, greedy_value = greedy_solve(inst)
         assert greedy_value == 4
-        assert greedy_selection.chosen == (True, False)
+        assert greedy_rooms == (0,)
         _, exact_value = dp_solve(inst)
         assert exact_value == 2
         relax = lp_relax_solve(inst)
         assert relax.value == Fraction(8, 5)
         assert relax.fractional_index == 0
-        rounded = associated_integer_solution(relax.support, inst.n_rooms)
-        assert rounded == greedy_selection
+        assert tuple(sorted(relax.support)) == greedy_rooms
 
     timed(0.001, check)
     report(1, "two-room example: greedy 4 at (1,0), exact 2, relaxation 8/5")
@@ -144,10 +142,10 @@ def test_criterion_04_oracle_equivalence():
             proctors_from_rate(realization.capacities, rate),
             realization.demand,
         )
-        dp_selection, dp_value = dp_solve(inst)
-        bf_selection, bf_value = brute_force_solve(inst)
+        dp_rooms, dp_value = dp_solve(inst)
+        bf_rooms, bf_value = brute_force_solve(inst)
         assert dp_value == bf_value
-        assert dp_selection == bf_selection
+        assert dp_rooms == bf_rooms
         count += 1
     elapsed = time.perf_counter() - start
     assert count >= 200

@@ -4,6 +4,15 @@ from fractions import Fraction
 import numpy
 import pytest
 
+from dcknap import (
+    ExperimentParams,
+    ProblemInstance,
+    dp_solve,
+    lp_relax_solve,
+    proctors_from_rate,
+    read_rooms_csv,
+    run_experiment,
+)
 from dcknap.cli import main, parse_config
 from dcknap.errors import ConfigError
 
@@ -48,6 +57,31 @@ class TestGenerate:
             assert int(rows[-2][column]) == total
             assert int(rows[-1][column]) == (9 * total) // 10
 
+    def test_columns_are_experiment_realizations(self, tmp_path, capsys):
+        # Column k of `generate --seed S` is realization k of an experiment
+        # with master_seed=S.  With min_size >= n_rooms each tree is its
+        # root, so the series hold the root solutions of each column.
+        out = tmp_path / "rooms.csv"
+        code, _, _ = run(
+            capsys,
+            "generate", "--n", "10", "--dist", "poisson", "--occupancy", "0.7",
+            "--count", "3", "--seed", "42", "--out", str(out),
+        )
+        assert code == 0
+        params = ExperimentParams(
+            n_rooms=10, dist="poisson", occupancy="0.7", rate=30, min_size=10,
+            realizations=3, master_seed=42,
+        )
+        result = run_experiment(params)
+        with out.open(newline="") as stream:
+            columns = read_rooms_csv(stream)
+        assert len(columns) == len(result.series) == 3
+        for (_, caps, demand), series in zip(columns, result.series):
+            inst = ProblemInstance(caps, proctors_from_rate(caps, 30), demand)
+            assert series.height == 0
+            assert series.dps[0] == dp_solve(inst)[1]
+            assert series.lrs[0] == lp_relax_solve(inst).value
+
     def test_single_column(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
         code, _, _ = run(capsys, "generate", "--count", "1", "--out", str(out))
@@ -61,7 +95,9 @@ class TestGenerate:
         assert code == 3
         assert "error" in err
 
-    @pytest.mark.parametrize("occupancy", ["abc", "1/0", "0.9x"])
+    @pytest.mark.parametrize(
+        "occupancy", ["abc", "1/0", "0.9x", "1e-1000000", "1E+1000000"]
+    )
     def test_bad_occupancy_exits_2(self, tmp_path, capsys, occupancy):
         out = tmp_path / "rooms.csv"
         code, _, err = run(
@@ -225,7 +261,7 @@ class TestTree:
         assert rows[0] == ["room", "vertex_0"]
         assert rows[-1] == ["demand", "633"]
 
-    @pytest.mark.parametrize("fraction", ["abc", "1/0"])
+    @pytest.mark.parametrize("fraction", ["abc", "1/0", "1e-1000000"])
     def test_bad_fraction_exits_2(self, rooms_csv, capsys, fraction):
         code, _, err = run(capsys, "tree", str(rooms_csv), "--fraction", fraction)
         assert code == 2
@@ -348,6 +384,8 @@ class TestExperiment:
             "min_size=0",
             "head_fraction=3/2",
             "sort=random\nsort_seed=-1",
+            "occupancy=1e-1000000",
+            "head_fraction=1e1000000",
         ],
     )
     def test_bad_config_number_exits_2(self, tmp_path, capsys, line):

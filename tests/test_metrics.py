@@ -215,13 +215,11 @@ class TestAverageSeries:
         printed = ("6.67", "14.29", "14.29", "7.14", "13.33")
         avg = average_series([self._series(p) for p in printed])
         assert avg.gbe_dps[1] == Fraction("11.144")
-        assert avg.realization_count == 5
 
     def test_single_series_is_identity(self):
         series = self._series("3.25")
         avg = average_series([series])
         assert avg.gbe_dps == series.gbe_dps
-        assert avg.realization_count == 1
 
     def test_constant_series(self):
         avg = average_series([self._series("2.5")] * 4)

@@ -6,7 +6,6 @@ import pytest
 from dcknap import (
     InvalidParameterError,
     ProblemInstance,
-    Selection,
     proctors_from_rate,
     specific_weights,
 )
@@ -60,17 +59,6 @@ class TestSpecificWeights:
         assert all(w == rate for w in specific_weights(inst))
 
 
-class TestSelection:
-    def test_value_and_load(self):
-        inst = ProblemInstance((100, 40), (4, 2), 40)
-        sel = Selection((True, False))
-        assert sel.value(inst) == 4
-        assert sel.load(inst) == 100
-
-    def test_from_indices(self):
-        assert Selection.from_indices([0, 2], 3).chosen == (True, False, True)
-
-
 class TestValidation:
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
@@ -95,10 +83,6 @@ class TestValidation:
     def test_total_capacity_cap(self):
         with pytest.raises(InvalidParameterError):
             ProblemInstance((2**31, 5), (1, 1), 0)
-
-    def test_default_room_ids(self):
-        inst = ProblemInstance((5, 6), (1, 1), 3)
-        assert inst.room_ids == (0, 1)
 
     def test_feasibility_predicate(self):
         assert ProblemInstance((5, 6), (1, 1), 11).is_feasible()

@@ -124,7 +124,6 @@ SMALL = ExperimentParams(
 class TestRunExperiment:
     def test_single_realization_average_is_identity(self):
         result = run_experiment(replace(SMALL, realizations=1))
-        assert result.average.realization_count == 1
         assert result.average.gbe_dps == result.series[0].gbe_dps
         assert result.average.dps == tuple(
             Fraction(v) for v in result.series[0].dps
@@ -217,7 +216,7 @@ class TestRoomsCsv:
         batch = []
         for _ in range(data.draw(st.integers(1, 5))):
             caps = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
-            batch.append(Realization(tuple(caps), data.draw(st.integers(0, sum(caps))), 0))
+            batch.append(Realization(tuple(caps), data.draw(st.integers(0, sum(caps)))))
         # printable labels, commas and quotes included
         labels = data.draw(
             st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126)),

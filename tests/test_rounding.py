@@ -27,6 +27,26 @@ class TestAsFraction:
         with pytest.raises(ValueError):
             as_fraction(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e1000000",
+            "1e-1000000",
+            "1E+1001",
+            "0.5e-1_001",
+            "1e-0001001",
+            pytest.param("1e" + "9" * 5000, id="5000-digit-exponent"),
+        ],
+    )
+    def test_huge_exponent_rejected(self, text):
+        with pytest.raises(ValueError, match="exponent too large"):
+            as_fraction(text)
+
+    def test_exponent_at_limit_accepted(self):
+        assert as_fraction("1e3") == 1000
+        assert as_fraction("1e-1000") == Fraction(1, 10**1000)
+        assert as_fraction("2E+0_1000") == 2 * 10**1000
+
 
 class TestRoundHalfUp:
     def test_tie_goes_up(self):

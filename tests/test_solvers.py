@@ -9,10 +9,8 @@ from dcknap import (
     InfeasibleError,
     InvalidParameterError,
     ProblemInstance,
-    Selection,
     SizeLimitError,
     SortCriterion,
-    associated_integer_solution,
     dp_solve,
     greedy_solve,
     lp_relax_solve,
@@ -27,18 +25,18 @@ MICRO = ProblemInstance((100, 40), (4, 2), 40)
 
 def reference_greedy(instance):
     """Greedy cover computed from scratch: rooms by descending capacity per
-    proctor, ties by position, taken until the demand is covered."""
+    proctor, ties by position, taken until the demand is covered; returned
+    as (ascending positions, cost)."""
     caps, prices = instance.capacities, instance.proctors
     order = sorted(range(len(caps)), key=lambda i: (-Fraction(caps[i], prices[i]), i))
-    chosen = [False] * len(caps)
+    rooms = []
     covered = 0
     for i in order:
         if covered >= instance.demand:
             break
-        chosen[i] = True
+        rooms.append(i)
         covered += caps[i]
-    selection = Selection(tuple(chosen))
-    return selection, selection.value(instance)
+    return tuple(sorted(rooms)), sum(prices[i] for i in rooms)
 
 
 def greedy_reference_cases():
@@ -57,19 +55,19 @@ def greedy_reference_cases():
 
 class TestGreedy:
     def test_micro_example(self):
-        selection, value = greedy_solve(MICRO)
-        assert selection.chosen == (True, False)
+        rooms, value = greedy_solve(MICRO)
+        assert rooms == (0,)
         assert value == 4
 
     def test_realization_one_takes_every_room(self, r1_instance):
-        selection, value = greedy_solve(r1_instance)
+        rooms, value = greedy_solve(r1_instance)
         assert value == 16
-        assert all(selection.chosen)
+        assert rooms == tuple(range(8))
 
     def test_zero_demand(self):
-        selection, value = greedy_solve(ProblemInstance((5, 7), (1, 2), 0))
+        rooms, value = greedy_solve(ProblemInstance((5, 7), (1, 2), 0))
         assert value == 0
-        assert not any(selection.chosen)
+        assert rooms == ()
 
     def test_infeasible_carries_deficit(self):
         with pytest.raises(InfeasibleError) as exc:
@@ -84,9 +82,9 @@ class TestDP:
         assert exc.value.deficit == 5
 
     def test_micro_example(self):
-        selection, value = dp_solve(MICRO)
+        rooms, value = dp_solve(MICRO)
         assert value == 2
-        assert selection.chosen == (False, True)
+        assert rooms == (1,)
 
     def test_four_room_example(self):
         inst = ProblemInstance((100, 50, 100, 50), (2, 1, 2, 1), 150)
@@ -101,14 +99,15 @@ class TestDP:
         rng = np.random.default_rng(17)
         for _ in range(100):
             inst = random_instance(rng)
-            selection, value = dp_solve(inst)
-            assert selection.value(inst) == value
-            assert selection.is_feasible(inst)
+            rooms, value = dp_solve(inst)
+            assert rooms == tuple(sorted(set(rooms)))
+            assert sum(inst.proctors[i] for i in rooms) == value
+            assert sum(inst.capacities[i] for i in rooms) >= inst.demand
 
     def test_full_occupancy_takes_everything(self):
         inst = ProblemInstance((5, 7, 9), (1, 1, 1), 21)
-        selection, value = dp_solve(inst)
-        assert all(selection.chosen)
+        rooms, value = dp_solve(inst)
+        assert rooms == (0, 1, 2)
         assert value == 3
 
     def test_proctor_sums_past_int32_rejected(self):
@@ -190,7 +189,7 @@ class TestDPProperties:
         inst, _ = case
         triple = solve_triple(inst)
         assert triple.lrs <= triple.dps <= triple.gas
-        assert (triple.exact_selection, triple.dps) == brute_force_solve(inst)
+        assert triple.dps == brute_force_solve(inst)[1]
 
 
 class TestLPRelaxation:
@@ -222,42 +221,35 @@ class TestLPRelaxation:
 
 
 class TestAssociatedIntegerSolution:
-    def test_rounds_support_up(self):
-        assert associated_integer_solution((0,), 2).chosen == (True, False)
-
-    def test_empty_support(self):
-        assert associated_integer_solution((), 3).chosen == (False,) * 3
-
-    def test_identity_on_integral_solutions(self):
-        assert associated_integer_solution((0, 1, 2), 3).chosen == (True,) * 3
+    """The greedy cover is the LP support rounded up."""
 
     def test_matches_greedy_selection(self):
         for inst in greedy_reference_cases():
             expected = reference_greedy(inst)
             assert greedy_solve(inst) == expected
-            triple = solve_triple(inst)
-            assert (triple.greedy_selection, triple.gas) == expected
+            assert tuple(sorted(lp_relax_solve(inst).support)) == expected[0]
+            assert solve_triple(inst).gas == expected[1]
 
 
 class TestBruteForce:
     def test_micro_example(self):
-        selection, value = brute_force_solve(MICRO)
+        rooms, value = brute_force_solve(MICRO)
         assert value == 2
-        assert selection.chosen == (False, True)
+        assert rooms == (1,)
 
     def test_capacity_objective_low_demand(self):
         caps = (10, 9, 8, 7, 6)
         inst = ProblemInstance(caps, caps, 11)  # rate 1: cost equals capacity
-        selection, value = brute_force_solve(inst)
+        rooms, value = brute_force_solve(inst)
         assert value == 13
-        assert selection.indices() == (3, 4)
+        assert rooms == (3, 4)
 
     def test_capacity_objective_higher_demand(self):
         caps = (10, 9, 8, 7, 6)
         inst = ProblemInstance(caps, caps, 15)
-        selection, value = brute_force_solve(inst)
+        rooms, value = brute_force_solve(inst)
         assert value == 15
-        assert selection.indices() == (2, 3)
+        assert rooms == (2, 3)
 
     def test_zero_demand(self):
         _, value = brute_force_solve(ProblemInstance((4, 5), (1, 1), 0))
@@ -272,10 +264,10 @@ class TestBruteForce:
         rng = np.random.default_rng(31)
         for _ in range(250):
             inst = random_instance(rng)
-            dp_selection, dp_value = dp_solve(inst)
-            bf_selection, bf_value = brute_force_solve(inst)
+            dp_rooms, dp_value = dp_solve(inst)
+            bf_rooms, bf_value = brute_force_solve(inst)
             assert dp_value == bf_value
-            assert dp_selection == bf_selection  # both pick the lex-smallest
+            assert dp_rooms == bf_rooms  # both pick the lex-smallest
 
 
 class TestSolveTriple:
@@ -301,8 +293,8 @@ class TestSolveTriple:
             inst = random_instance(rng)
             triple = solve_triple(inst)
             assert triple.lrs <= triple.dps <= triple.gas
-            assert triple.exact_selection.value(inst) == triple.dps
-            assert triple.greedy_selection.value(inst) == triple.gas
+            assert dp_solve(inst)[1] == triple.dps
+            assert greedy_solve(inst)[1] == triple.gas
 
     def test_exactness_regime(self):
         # one proctor per room: the greedy cover is already optimal
