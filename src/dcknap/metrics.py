@@ -27,7 +27,8 @@ from typing import Mapping, Sequence
 from .dctree import DCTree, prune
 from .errors import InvalidParameterError
 from .rounding import as_fraction
-from .solvers import solve_triple
+from .solvers import solve_vertices
+from .solvers import solve_triple  # noqa: F401  a binding perfbench/spans.py traces
 
 #: Quality metrics aggregated when strategies are compared.
 EFFICIENCY_METRICS = (
@@ -104,8 +105,12 @@ class EfficiencySeries:
 
 
 def solve_tree(tree: DCTree) -> EfficiencySeries:
-    """Solve every node of the tree and compute the per-height series."""
-    triples = [solve_triple(tree.subinstance(node)) for node in tree.nodes]
+    """Solve every node of the tree and compute the per-height series.
+
+    All vertices are solved in one pass over the root's rooms
+    (`solve_vertices`), with no sub-instance per vertex.
+    """
+    triples = solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
 
     heights = range(tree.height + 1)
     lrs, dps, gas = [], [], []

@@ -7,22 +7,44 @@
   ties go to the lexicographically smallest cover;
 * linear-relaxation lower bound (LRS): closed form, at most one fractional
   room, computed exactly as a Fraction.
+
+Specific weights are compared through `weight_ranks`, an integer rank that
+builds one Fraction per distinct (capacity, proctors) pair.  LRS and GAS
+come from one cumulative-sum scan of the rooms in greedy order.
+
+Experiments need only the three values of each tree vertex, so
+`solve_vertices` ranks a tree's rooms once and solves every vertex on
+integer arrays: the scan, then a value-only DP on one rolling row, skipped
+when ceil(LRS) = GAS already fixes DPS.  `solve_triple` runs the same
+per-vertex code on one instance; `dp_solve` and `greedy_solve` return the
+covers themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .model import ProblemInstance, specific_weights
+from .model import ProblemInstance
 
 SORT_KEYS = ("proctors", "capacity", "specific_weight", "random")
 
 #: Largest exact-DP table, in int32 cells (1 GiB).
 DP_MAX_CELLS = 1 << 28
+
+
+def weight_ranks(capacities, proctors) -> list[int]:
+    """Dense rank of each room's specific weight capacity / proctors, 0 for
+    the largest; rooms with equal ratios share a rank."""
+    pairs = list(zip(capacities, proctors))
+    weight = {pair: Fraction(*pair) for pair in set(pairs)}
+    rank = {w: r for r, w in enumerate(sorted(set(weight.values()), reverse=True))}
+    pair_rank = {pair: rank[w] for pair, w in weight.items()}
+    return [pair_rank[pair] for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -53,13 +75,13 @@ class SortCriterion:
                 raise InvalidParameterError("random sorting requires a seed")
             rng = np.random.default_rng(self.seed)
             return [int(i) for i in rng.permutation(n)]
-        if self.key == "proctors":
-            keys = instance.proctors
-        elif self.key == "capacity":
-            keys = instance.capacities
+        if self.key == "specific_weight":
+            keys = weight_ranks(instance.capacities, instance.proctors)
+        elif self.key == "proctors":
+            keys = [-p for p in instance.proctors]
         else:
-            keys = specific_weights(instance)
-        return sorted(range(n), key=lambda i: (-keys[i], i))
+            keys = [-c for c in instance.capacities]
+        return sorted(range(n), key=keys.__getitem__)  # stable: ties by position
 
 
 #: Sorting used by the greedy and LP procedures themselves.
@@ -94,10 +116,28 @@ class SolutionTriple:
             )
 
 
-def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
-    """Feasible cover by descending specific weight, as (ascending room
-    positions, proctor cost)."""
-    return _rounded_up(instance, lp_relax_solve(instance))
+def _greedy_arrays(instance: ProblemInstance, order) -> tuple[np.ndarray, np.ndarray]:
+    """Capacities and proctors of `instance` as int64 arrays in `order`."""
+    return (
+        np.array(instance.capacities, dtype=np.int64)[order],
+        np.array(instance.proctors, dtype=np.int64)[order],
+    )
+
+
+def _scan(caps: np.ndarray, prices: np.ndarray, demand: int) -> tuple[int, int, Fraction, int]:
+    """Greedy scan of rooms in greedy order for a demand of at least 1, as
+    (break room b, capacity it uses, LRS, GAS).
+
+    Rooms 0..b-1 are taken whole and cover less than the demand; room b
+    covers the residual, so GAS is the cost of rooms 0..b and LRS replaces
+    room b's cost by its used share.
+    """
+    covered = np.cumsum(caps)
+    b = int(np.searchsorted(covered, demand))
+    cap, price = int(caps[b]), int(prices[b])
+    used = demand - int(covered[b]) + cap
+    gas = int(prices[: b + 1].sum())
+    return b, used, Fraction((gas - price) * cap + price * used, cap), gas
 
 
 def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
@@ -107,34 +147,41 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     fractional, contributing proctors * residual / capacity.
     """
     instance.require_feasible()
+    if instance.demand == 0:
+        return LPRelaxation(Fraction(0), None, ())
     order = SPECIFIC_WEIGHT_DESC.order(instance)
-    value = Fraction(0)
-    covered = 0
-    support: list[int] = []
-    fractional = None
-    for i in order:
-        if covered >= instance.demand:
-            break
-        cap = instance.capacities[i]
-        if covered + cap <= instance.demand:
-            support.append(i)
-            value += instance.proctors[i]
-            covered += cap
-        else:
-            residual = instance.demand - covered
-            support.append(i)
-            value += Fraction(instance.proctors[i] * residual, cap)
-            covered = instance.demand
-            fractional = i
-    return LPRelaxation(value, fractional, tuple(support))
+    b, used, lrs, _ = _scan(*_greedy_arrays(instance, order), instance.demand)
+    last = order[b]
+    fractional = last if used < instance.capacities[last] else None
+    return LPRelaxation(lrs, fractional, tuple(order[: b + 1]))
 
 
-def _rounded_up(
-    instance: ProblemInstance, relax: LPRelaxation
-) -> tuple[tuple[int, ...], int]:
-    """The greedy cover: every room of the LP support, the fractional one included."""
-    prices = instance.proctors
-    return tuple(sorted(relax.support)), sum(prices[i] for i in relax.support)
+def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
+    """Feasible cover by descending specific weight, as (ascending room
+    positions, proctor cost): the LP support, the fractional room included."""
+    support = lp_relax_solve(instance).support
+    return tuple(sorted(support)), sum(instance.proctors[i] for i in support)
+
+
+def _dp_axis(
+    n: int, total_capacity: int, total_proctors: int, demand: int, bound: int | None
+) -> tuple[bool, int]:
+    """(indexed by cost, last column) of the exact DP's smaller axis.
+
+    Raises SizeLimitError when the n + 1 row table would exceed
+    `DP_MAX_CELLS`, which bounds both the memory and the work.
+    """
+    budget = total_capacity - demand
+    cost_width = total_proctors if bound is None else min(bound, total_proctors)
+    by_cost = cost_width <= budget
+    width = cost_width if by_cost else budget
+    if (n + 1) * (width + 1) > DP_MAX_CELLS:
+        raise SizeLimitError(
+            f"exact DP table of {n + 1} rows x {width + 1} columns exceeds "
+            f"{DP_MAX_CELLS} cells (cost axis {cost_width + 1}, "
+            f"budget axis {budget + 1} columns)"
+        )
+    return by_cost, width
 
 
 def _fill_table(weights, values, width: int) -> np.ndarray:
@@ -173,7 +220,6 @@ def dp_solve(
     raises SizeLimitError before anything is allocated.
     """
     instance.require_feasible()
-    budget = instance.total_capacity - instance.demand
     n = instance.n_rooms
     caps = instance.capacities
     prices = instance.proctors
@@ -181,15 +227,7 @@ def dp_solve(
     if demand == 0:
         return (), 0
     total = instance.total_proctors
-    cost_width = total if bound is None else min(bound, total)
-    by_cost = cost_width <= budget
-    width = cost_width if by_cost else budget
-    if (n + 1) * (width + 1) > DP_MAX_CELLS:
-        raise SizeLimitError(
-            f"exact DP table of {n + 1} rows x {width + 1} columns exceeds "
-            f"{DP_MAX_CELLS} cells (cost axis {cost_width + 1}, "
-            f"budget axis {budget + 1} columns)"
-        )
+    by_cost, width = _dp_axis(n, instance.total_capacity, total, demand, bound)
 
     # Walking forward and leaving a room out whenever that stays optimal
     # keeps the cover lexicographically smallest.
@@ -218,9 +256,56 @@ def dp_solve(
     return tuple(rooms), value
 
 
+def _dp_value(caps: np.ndarray, prices: np.ndarray, demand: int, bound: int) -> int:
+    """The optimum cost dp_solve finds, on the same axis, from one rolling
+    row instead of a table (the cover is not recovered)."""
+    total = int(prices.sum())
+    by_cost, width = _dp_axis(len(caps), int(caps.sum()), total, demand, bound)
+    weights, values = (prices, caps) if by_cost else (caps, prices)
+    row = np.zeros(width + 1, dtype=np.int32)
+    for w, v in zip(weights.tolist(), values.tolist()):
+        if w <= width:
+            # The right-hand side is computed before `row` is overwritten,
+            # so each room counts at most once.
+            np.maximum(row[w:], row[: width - w + 1] + v, out=row[w:])
+    if by_cost:
+        return int(np.searchsorted(row, demand))
+    return total - int(row[width])
+
+
+def _vertex_triple(caps: np.ndarray, prices: np.ndarray, demand: int) -> SolutionTriple:
+    """LRS, DPS and GAS of a feasible vertex whose rooms are in greedy order."""
+    if demand == 0:
+        return SolutionTriple(Fraction(0), 0, 0)
+    _, _, lrs, gas = _scan(caps, prices, demand)
+    # LRS <= DPS <= GAS with DPS an integer: the DP is needed only below GAS.
+    dps = gas if math.ceil(lrs) == gas else _dp_value(caps, prices, demand, gas)
+    return SolutionTriple(lrs, dps, gas)
+
+
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:
-    """Run all three procedures on one instance and bundle the results."""
-    relax = lp_relax_solve(instance)
-    _, gas = _rounded_up(instance, relax)
-    _, dps = dp_solve(instance, gas)
-    return SolutionTriple(lrs=relax.value, dps=dps, gas=gas)
+    """LRS, DPS and GAS of one instance."""
+    instance.require_feasible()
+    order = SPECIFIC_WEIGHT_DESC.order(instance)
+    return _vertex_triple(*_greedy_arrays(instance, order), instance.demand)
+
+
+def solve_vertices(instance: ProblemInstance, order, vertices) -> list[SolutionTriple]:
+    """solve_triple of every vertex, without building a sub-instance.
+
+    Each vertex has `rooms`, a subsequence of `order` (positions into
+    `instance`), and a feasible `demand`.  Its greedy order sorts its rooms
+    by specific weight, ties by place in the vertex and so in `order`.  One
+    ranking of `order` by (weight rank, place) therefore gives every vertex
+    its greedy order by sorting the room ranks.
+    """
+    ranks = weight_ranks(instance.capacities, instance.proctors)
+    greedy = sorted(order, key=ranks.__getitem__)  # stable: ties by place
+    caps, prices = _greedy_arrays(instance, greedy)
+    place = np.empty(instance.n_rooms, dtype=np.intp)
+    place[greedy] = np.arange(len(greedy))
+    triples = []
+    for vertex in vertices:
+        at = np.sort(place[list(vertex.rooms)])
+        triples.append(_vertex_triple(caps[at], prices[at], vertex.demand))
+    return triples

@@ -1,5 +1,6 @@
 import csv
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy
 import pytest
@@ -13,6 +14,7 @@ from dcknap import (
     read_rooms_csv,
     run_experiment,
 )
+import dcknap.solvers
 from dcknap.cli import main, parse_config
 from dcknap.errors import ConfigError
 
@@ -449,3 +451,30 @@ class TestExperiment:
         assert first.keys() == second.keys()
         assert first == second
         assert "l1_comparison.csv" in first
+
+    def _run_without_allocation(self, tmp_path, capsys, monkeypatch, config_text):
+        """Run an experiment with a 4-cell DP limit and the solvers' np.zeros
+        failing (sampling still needs the real one)."""
+        config = tmp_path / "config.txt"
+        config.write_text(config_text)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("np.zeros called")
+
+        monkeypatch.setattr(dcknap.solvers, "DP_MAX_CELLS", 4)
+        monkeypatch.setattr(dcknap.solvers, "np", SimpleNamespace(**{**vars(numpy), "zeros": no_allocation}))
+        return run(capsys, "experiment", str(config), "--out-dir", str(tmp_path / "out"))
+
+    def test_oversized_dp_exits_2_before_allocation(self, tmp_path, capsys, monkeypatch):
+        code, _, err = self._run_without_allocation(
+            tmp_path, capsys, monkeypatch, "n_rooms=16\nrealizations=2\nmin_size=4\nmaster_seed=5\n"
+        )
+        assert code == 2
+        assert "exact DP table of" in err
+
+    def test_bound_settled_vertices_allocate_nothing(self, tmp_path, capsys, monkeypatch):
+        # One proctor per room: ceil(LRS) = GAS on every vertex, so no DP runs.
+        code, _, _ = self._run_without_allocation(
+            tmp_path, capsys, monkeypatch, "n_rooms=16\nrealizations=2\nmin_size=4\nmaster_seed=5\nrate=120\n"
+        )
+        assert code == 0
