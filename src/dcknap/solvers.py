@@ -8,16 +8,12 @@
 * linear-relaxation lower bound (LRS): closed form, at most one fractional
   room, computed exactly as a Fraction.
 
-Specific weights are compared through `weight_ranks`, an integer rank that
-builds one Fraction per distinct (capacity, proctors) pair.  LRS and GAS
-come from one cumulative-sum scan of the rooms in greedy order.
-
-Experiments need only the three values of each tree vertex, so
-`solve_vertices` ranks a tree's rooms once and solves every vertex on
-integer arrays: the scan, then a value-only DP on one rolling row, skipped
-when ceil(LRS) = GAS already fixes DPS.  `solve_triple` runs the same
-per-vertex code on one instance; `dp_solve` and `greedy_solve` return the
-covers themselves.
+Specific weights are compared by `weight_ranks`, with one Fraction per
+distinct (capacity, proctors) pair; LRS and GAS come from one cumulative-sum
+scan in greedy order.  `solve_vertices`, the tree kernel, ranks a tree's
+rooms once and solves every vertex on integer arrays, running a value-only
+DP on one rolling row only where ceil(LRS) < GAS.  `solve_triple` runs the
+same per-vertex code on one instance.
 """
 
 from __future__ import annotations
