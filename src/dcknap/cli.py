@@ -382,8 +382,6 @@ def cmd_experiment(args) -> int:
             norms_a = _norms(first, h_tilde)
             norms_b = _norms(second, h_tilde)
             for v in first:
-                if v not in norms_b:
-                    continue
                 cmp_all = l1_compare([norms_a[v][0]], [norms_b[v][0]], labels=algorithms)
                 cmp_dps = l1_compare([norms_a[v][1]], [norms_b[v][1]], labels=algorithms)
                 rows.append(

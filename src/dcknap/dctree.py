@@ -67,7 +67,7 @@ def split_demand(
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Generation parameters, kept on the tree for reproducibility.
+    """Generation parameters of a decomposition tree.
 
     The one place tree parameters are checked: builders and
     ExperimentParams construct one to validate theirs.
@@ -122,7 +122,6 @@ class DCNode:
 class DCTree:
     instance: ProblemInstance
     root: DCNode
-    params: TreeParams
     nodes: list[DCNode] = field(default_factory=list)  # pre-order
 
     @property
@@ -171,7 +170,7 @@ def _build(instance, params):
         return node
 
     root = grow(order, instance.demand, 0)
-    return DCTree(instance=instance, root=root, params=params, nodes=nodes)
+    return DCTree(instance=instance, root=root, nodes=nodes)
 
 
 def build_tree_headleft(

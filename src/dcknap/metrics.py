@@ -157,10 +157,7 @@ def average_series(series: Sequence[EfficiencySeries]) -> EfficiencySeries:
     return EfficiencySeries(**{name.lower(): mean_field(name) for name in ALL_METRICS})
 
 
-def critical_height(
-    columns: Mapping[object, Sequence] | Sequence[Sequence],
-    aggregation: str = "mean",
-) -> int:
+def critical_height(columns: Mapping[object, Sequence], aggregation: str = "mean") -> int:
     """Position at which the aggregated per-step growth first more than doubles.
 
     `columns` maps each strategy value to its per-height series (all the same
@@ -171,10 +168,7 @@ def critical_height(
     """
     if aggregation not in AGGREGATIONS:
         raise InvalidParameterError(f"aggregation must be one of {AGGREGATIONS}")
-    if isinstance(columns, Mapping):
-        series = [list(v) for v in columns.values()]
-    else:
-        series = [list(v) for v in columns]
+    series = [list(v) for v in columns.values()]
     if not series:
         raise InvalidParameterError("no series given")
     length = len(series[0])
@@ -216,8 +210,6 @@ class L1Comparison:
 
 def _flatten(values):
     flat = []
-    if isinstance(values, Mapping):
-        values = [values[k] for k in values]
     for entry in values:
         if isinstance(entry, (list, tuple)):
             flat.append([as_fraction(v) for v in entry])

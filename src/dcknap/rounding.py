@@ -42,8 +42,6 @@ def as_fraction(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact fraction")
 
 

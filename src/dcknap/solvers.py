@@ -9,11 +9,12 @@
   room, computed exactly as a Fraction.
 
 Specific weights are compared by `weight_ranks`, with one Fraction per
-distinct (capacity, proctors) pair; LRS and GAS come from one cumulative-sum
-scan in greedy order.  `solve_vertices`, the tree kernel, ranks a tree's
-rooms once and solves every vertex on integer arrays, running a value-only
-DP on one rolling row only where ceil(LRS) < GAS.  `solve_triple` runs the
-same per-vertex code on one instance.
+distinct (capacity, proctors) pair, and `_greedy` gives the one greedy
+order.  LRS and GAS come from one cumulative-sum scan in that order, and
+GAS bounds the cost axis of every DP.  `solve_vertices`, the tree kernel,
+ranks a tree's rooms once and solves every vertex on integer arrays,
+running a value-only DP on one rolling row only where ceil(LRS) < GAS.
+`solve_triple` runs the same per-vertex code on one instance.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ class SortCriterion:
         return sorted(range(n), key=keys.__getitem__)  # stable: ties by position
 
 
-#: Sorting used by the greedy and LP procedures themselves.
-SPECIFIC_WEIGHT_DESC = SortCriterion("specific_weight")
-
-
 @dataclass(frozen=True)
 class LPRelaxation:
     """Closed-form optimum of the linear relaxation.
@@ -112,11 +109,16 @@ class SolutionTriple:
             )
 
 
-def _greedy_arrays(instance: ProblemInstance, order) -> tuple[np.ndarray, np.ndarray]:
-    """Capacities and proctors of `instance` as int64 arrays in `order`."""
+def _greedy(instance: ProblemInstance, order) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Greedy order of the room positions in `order`: by descending specific
+    weight, ties by place in `order`; as (positions, capacities, proctors),
+    the last two int64 arrays."""
+    ranks = weight_ranks(instance.capacities, instance.proctors)
+    positions = sorted(order, key=ranks.__getitem__)  # stable: ties by place
     return (
-        np.array(instance.capacities, dtype=np.int64)[order],
-        np.array(instance.proctors, dtype=np.int64)[order],
+        positions,
+        np.array(instance.capacities, dtype=np.int64)[positions],
+        np.array(instance.proctors, dtype=np.int64)[positions],
     )
 
 
@@ -145,8 +147,8 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     instance.require_feasible()
     if instance.demand == 0:
         return LPRelaxation(Fraction(0), None, ())
-    order = SPECIFIC_WEIGHT_DESC.order(instance)
-    b, used, lrs, _ = _scan(*_greedy_arrays(instance, order), instance.demand)
+    order, caps, prices = _greedy(instance, range(instance.n_rooms))
+    b, used, lrs, _ = _scan(caps, prices, instance.demand)
     last = order[b]
     fractional = last if used < instance.capacities[last] else None
     return LPRelaxation(lrs, fractional, tuple(order[: b + 1]))
@@ -159,22 +161,20 @@ def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(support)), sum(instance.proctors[i] for i in support)
 
 
-def _dp_axis(
-    n: int, total_capacity: int, total_proctors: int, demand: int, bound: int | None
-) -> tuple[bool, int]:
-    """(indexed by cost, last column) of the exact DP's smaller axis.
+def _dp_axis(n: int, total_capacity: int, demand: int, gas: int) -> tuple[bool, int]:
+    """(indexed by cost, last column) of the exact DP's smaller axis: cost
+    0..GAS or budget 0..total capacity - demand.
 
     Raises SizeLimitError when the n + 1 row table would exceed
     `DP_MAX_CELLS`, which bounds both the memory and the work.
     """
     budget = total_capacity - demand
-    cost_width = total_proctors if bound is None else min(bound, total_proctors)
-    by_cost = cost_width <= budget
-    width = cost_width if by_cost else budget
+    by_cost = gas <= budget
+    width = gas if by_cost else budget
     if (n + 1) * (width + 1) > DP_MAX_CELLS:
         raise SizeLimitError(
             f"exact DP table of {n + 1} rows x {width + 1} columns exceeds "
-            f"{DP_MAX_CELLS} cells (cost axis {cost_width + 1}, "
+            f"{DP_MAX_CELLS} cells (cost axis {gas + 1}, "
             f"budget axis {budget + 1} columns)"
         )
     return by_cost, width
@@ -195,18 +195,14 @@ def _fill_table(weights, values, width: int) -> np.ndarray:
     return table
 
 
-def dp_solve(
-    instance: ProblemInstance, bound: int | None = None
-) -> tuple[tuple[int, ...], int]:
+def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     """Exact minimum-cost cover by dynamic programming on the smaller axis,
     as (ascending room positions, proctor cost); () when the demand is 0.
 
-    `bound` is an upper bound on the optimum, such as the cost of any
-    feasible cover; it defaults to the total proctor count, and a cost-axis
-    table that shows it below the optimum raises InvalidParameterError.
-    The table is indexed by whichever axis has fewer columns:
+    The greedy cover's cost GAS bounds the optimum from above, and the
+    table is indexed by whichever axis has fewer columns:
 
-    * cost, 0..bound: the largest capacity rooms i.. cover for at most c
+    * cost, 0..GAS: the largest capacity rooms i.. cover for at most c
       proctors; the optimum is the least c whose row-0 entry meets the demand;
     * budget, 0..total capacity - demand: the complement knapsack, the most
       proctors rooms i.. can leave out within the budget.
@@ -222,17 +218,16 @@ def dp_solve(
     demand = instance.demand
     if demand == 0:
         return (), 0
-    total = instance.total_proctors
-    by_cost, width = _dp_axis(n, instance.total_capacity, total, demand, bound)
+    _, greedy_caps, greedy_prices = _greedy(instance, range(n))
+    gas = _scan(greedy_caps, greedy_prices, demand)[3]
+    by_cost, width = _dp_axis(n, instance.total_capacity, demand, gas)
 
     # Walking forward and leaving a room out whenever that stays optimal
     # keeps the cover lexicographically smallest.
+    rooms = []
     if by_cost:
         table = _fill_table(prices, caps, width)
         value = int(np.searchsorted(table[0], demand))
-        if value > width:
-            raise InvalidParameterError(f"bound {bound} is below the optimum cost")
-        rooms = []
         left, c = demand, value
         for i in range(n):
             if table[i + 1, c] < left:
@@ -241,8 +236,7 @@ def dp_solve(
                 c -= prices[i]
     else:
         table = _fill_table(caps, prices, width)
-        value = total - int(table[0, width])
-        rooms = []
+        value = instance.total_proctors - int(table[0, width])
         w = width
         for i in range(n):
             if caps[i] <= w and table[i + 1, w - caps[i]] + prices[i] == table[i, w]:
@@ -252,11 +246,10 @@ def dp_solve(
     return tuple(rooms), value
 
 
-def _dp_value(caps: np.ndarray, prices: np.ndarray, demand: int, bound: int) -> int:
+def _dp_value(caps: np.ndarray, prices: np.ndarray, demand: int, gas: int) -> int:
     """The optimum cost dp_solve finds, on the same axis, from one rolling
     row instead of a table (the cover is not recovered)."""
-    total = int(prices.sum())
-    by_cost, width = _dp_axis(len(caps), int(caps.sum()), total, demand, bound)
+    by_cost, width = _dp_axis(len(caps), int(caps.sum()), demand, gas)
     weights, values = (prices, caps) if by_cost else (caps, prices)
     row = np.zeros(width + 1, dtype=np.int32)
     for w, v in zip(weights.tolist(), values.tolist()):
@@ -266,7 +259,7 @@ def _dp_value(caps: np.ndarray, prices: np.ndarray, demand: int, bound: int) -> 
             np.maximum(row[w:], row[: width - w + 1] + v, out=row[w:])
     if by_cost:
         return int(np.searchsorted(row, demand))
-    return total - int(row[width])
+    return int(prices.sum()) - int(row[width])
 
 
 def _vertex_triple(caps: np.ndarray, prices: np.ndarray, demand: int) -> SolutionTriple:
@@ -282,8 +275,8 @@ def _vertex_triple(caps: np.ndarray, prices: np.ndarray, demand: int) -> Solutio
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:
     """LRS, DPS and GAS of one instance."""
     instance.require_feasible()
-    order = SPECIFIC_WEIGHT_DESC.order(instance)
-    return _vertex_triple(*_greedy_arrays(instance, order), instance.demand)
+    _, caps, prices = _greedy(instance, range(instance.n_rooms))
+    return _vertex_triple(caps, prices, instance.demand)
 
 
 def solve_vertices(instance: ProblemInstance, order, vertices) -> list[SolutionTriple]:
@@ -295,9 +288,7 @@ def solve_vertices(instance: ProblemInstance, order, vertices) -> list[SolutionT
     ranking of `order` by (weight rank, place) therefore gives every vertex
     its greedy order by sorting the room ranks.
     """
-    ranks = weight_ranks(instance.capacities, instance.proctors)
-    greedy = sorted(order, key=ranks.__getitem__)  # stable: ties by place
-    caps, prices = _greedy_arrays(instance, greedy)
+    greedy, caps, prices = _greedy(instance, order)
     place = np.empty(instance.n_rooms, dtype=np.intp)
     place[greedy] = np.arange(len(greedy))
     triples = []

@@ -209,6 +209,15 @@ class TestSolve:
         assert code == 2
         assert "exact DP table of 3 rows" in err
 
+    def test_dp_cost_axis_ends_at_greedy_cost(self, tmp_path, capsys):
+        # The budget axis would need 3 x 1,000,000,006 cells; the greedy
+        # cover costs 10, so the cost axis has 11 columns.
+        rooms = tmp_path / "cheap_cover.csv"
+        rooms.write_text("room,a\n0,10\n1,1000000000\nSUM,1000000010\nDEMAND,5\n")
+        code, out, _ = run(capsys, "solve", str(rooms), "--rate", "1", "--solver", "dp")
+        assert code == 0
+        assert "DPS 10 rooms=0" in out.splitlines()
+
     def test_missing_column_exits_2(self, rooms_csv, capsys):
         code, _, _ = run(capsys, "solve", str(rooms_csv), "--column", "nope")
         assert code == 2

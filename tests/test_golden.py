@@ -1,4 +1,4 @@
-"""Golden `--out-dir` snapshots of two small experiment grids.
+"""Golden `--out-dir` snapshots of three small experiment grids.
 
 Each directory under tests/data/golden/ holds the complete output of
 `dcknap experiment` for the config of the same name below.  Refactors must
@@ -7,8 +7,9 @@ snapshot with
 
     PYTHONPATH=src python -m dcknap.cli experiment CONFIG --out-dir tests/data/golden/NAME
 
-The two grids pin what the single-tree tests do not: the balanced tree, the
-head-fraction sweep, the hlT/blT l1 comparison and the seeded random sort key.
+The grids pin what the single-tree tests do not: the balanced tree, the
+head-fraction and occupancy sweeps, the hlT/blT l1 comparison and the seeded
+random sort key.
 """
 
 import pytest
@@ -21,6 +22,7 @@ GOLDEN_DIR = DATA_DIR / "golden"
 _BASE = "n_rooms=32\nrealizations=3\nmin_size=4\nmaster_seed=11\n"
 
 GOLDEN_CONFIGS = {
+    "both_o": _BASE + "tree_alg=both\nsweep=o\n",
     "both_s": _BASE + "tree_alg=both\nsweep=s\n",
     "hlT_f": _BASE + "tree_alg=hlT\nsweep=f\n",
 }
@@ -50,3 +52,4 @@ def test_snapshots_cover_the_untested_paths():
     assert "l1_comparison.csv" in both
     assert b"random" in both["avg_blT_DPS.csv"]
     assert len(_tree_bytes(GOLDEN_DIR / "hlT_f")) == 14
+    assert len(_tree_bytes(GOLDEN_DIR / "both_o")) == 28

@@ -122,21 +122,16 @@ class TestDP:
         assert dp_solve(inst)[1] == 1
 
     def test_oversized_table_rejected_before_allocation(self, monkeypatch):
-        # Cost axis 2e9 + 1 columns (1e9 + 1 with the greedy bound), budget
-        # axis 2e9: either table is far past the cell limit.
+        # Cost axis up to GAS, 1e9 + 1 columns; budget axis 2e9: either
+        # table is far past the cell limit.
         inst = ProblemInstance((10**9, 10**9), (10**9, 10**9), 1)
 
         def no_allocation(*args, **kwargs):
             raise AssertionError("np.zeros called")
 
         monkeypatch.setattr(dcknap.solvers.np, "zeros", no_allocation)
-        for bound in (None, 10**9):
-            with pytest.raises(SizeLimitError, match="3 rows x"):
-                dp_solve(inst, bound)
-
-    def test_bound_below_optimum_rejected(self):
-        with pytest.raises(InvalidParameterError, match="below the optimum"):
-            dp_solve(MICRO, 1)
+        with pytest.raises(SizeLimitError, match="3 rows x"):
+            dp_solve(inst)
 
 
 # Capacity/proctor ratios shared by many rooms, so optima tie often.
@@ -159,10 +154,10 @@ def tied_instances(draw):
     total_cap, total_p = sum(caps), sum(prices)
     side = draw(st.sampled_from(("cost", "budget", "any")))
     if side == "cost":
-        # budget >= total proctors >= any bound
+        # budget >= total proctors >= GAS
         demand = draw(st.integers(0, total_cap - total_p))
     elif side == "budget":
-        # budget < cheapest room <= optimum <= any bound
+        # budget < cheapest room <= optimum <= GAS
         demand = draw(st.integers(max(1, total_cap - min(prices) + 1), total_cap))
     else:
         demand = draw(st.integers(0, total_cap))
@@ -177,11 +172,9 @@ class TestDPProperties:
         expected = brute_force_solve(inst)
         _, gas = greedy_solve(inst)
         budget = inst.total_capacity - inst.demand
-        for bound in (None, gas):
-            if inst.demand > 0 and side != "any":
-                width = inst.total_proctors if bound is None else bound
-                assert (width <= budget) == (side == "cost")
-            assert dp_solve(inst, bound) == expected
+        if inst.demand > 0 and side != "any":
+            assert (gas <= budget) == (side == "cost")
+        assert dp_solve(inst) == expected
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(tied_instances())
