@@ -13,15 +13,18 @@ distinct (capacity, proctors) pair, and `_greedy` gives the one greedy
 order.  LRS and GAS come from one cumulative-sum scan in that order, and
 GAS bounds the cost axis of every DP.  `solve_vertices`, the tree kernel,
 ranks a tree's rooms once and solves every vertex on integer arrays,
-running a value-only DP on one rolling row only where ceil(LRS) < GAS.
-`solve_triple` runs the same per-vertex code on one instance.
+running a value-only DP (one rolling row, one max-plus step per distinct
+room weight) only where ceil(LRS) < GAS.  `solve_triple` runs the same
+per-vertex code on one instance.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,6 +35,9 @@ SORT_KEYS = ("proctors", "capacity", "specific_weight", "random")
 
 #: Largest exact-DP table, in int32 cells (1 GiB).
 DP_MAX_CELLS = 1 << 28
+
+# Largest temporary of one grouped value-only DP step, in int32 cells (128 KiB).
+_GROUP_CELLS = 1 << 15
 
 
 def weight_ranks(capacities, proctors) -> list[int]:
@@ -248,15 +254,39 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
 
 def _dp_value(caps: np.ndarray, prices: np.ndarray, demand: int, gas: int) -> int:
     """The optimum cost dp_solve finds, on the same axis, from one rolling
-    row instead of a table (the cover is not recovered)."""
+    row instead of a table (the cover is not recovered).
+
+    Rooms of equal weight w differ only in value, so any j of them weigh
+    j * w and the best j are the j most valuable: a group of them is one
+    max-plus step, row'[x] = max_j row[x - j * w] + S(j), where S(j) sums
+    the group's j largest values.  At most width // w rooms of weight w fit,
+    and any split of a group into chunks is still exact, so each step's
+    temporary stays within `_GROUP_CELLS` cells (or two rows, if longer).
+    """
     by_cost, width = _dp_axis(len(caps), int(caps.sum()), demand, gas)
     weights, values = (prices, caps) if by_cost else (caps, prices)
-    row = np.zeros(width + 1, dtype=np.int32)
-    for w, v in zip(weights.tolist(), values.tolist()):
-        if w <= width:
-            # The right-hand side is computed before `row` is overwritten,
-            # so each room counts at most once.
-            np.maximum(row[w:], row[: width - w + 1] + v, out=row[w:])
+    by_group = np.lexsort((-values, weights))  # by weight, then value descending
+    weights, values = weights[by_group].tolist(), values[by_group].tolist()
+    # row[x] = padded[width + x]; cells left of row[0] hold int32 min, which
+    # stays negative plus any S(j) (ProblemInstance caps totals at 2^31 - 1).
+    padded = np.full(2 * width + 1, np.iinfo(np.int32).min, dtype=np.int32)
+    row = padded[width:]
+    row[:] = 0
+    chunk = max(1, _GROUP_CELLS // (width + 1) - 1)
+    start = 0
+    while start < len(weights):
+        w = weights[start]
+        end = bisect_right(weights, w, start)
+        group = values[start : min(end, start + width // w)]
+        start = end
+        for i in range(0, len(group), chunk):
+            gains = list(accumulate(group[i : i + chunk], initial=0))  # S(0..k)
+            k = len(gains) - 1
+            # shifted[k - j][x] = row[x - j * w], so it pairs with gains[::-1].
+            shifted = np.ndarray(
+                (k + 1, width + 1), np.int32, padded, 4 * (width - k * w), (4 * w, 4)
+            )
+            np.max(shifted + np.array(gains[::-1], np.int32)[:, None], axis=0, out=row)
     if by_cost:
         return int(np.searchsorted(row, demand))
     return int(prices.sum()) - int(row[width])

@@ -463,15 +463,17 @@ class TestExperiment:
 
     def _run_without_allocation(self, tmp_path, capsys, monkeypatch, config_text):
         """Run an experiment with a 4-cell DP limit and the solvers' np.zeros
-        failing (sampling still needs the real one)."""
+        and np.full failing (sampling still needs the real ones)."""
         config = tmp_path / "config.txt"
         config.write_text(config_text)
 
         def no_allocation(*args, **kwargs):
-            raise AssertionError("np.zeros called")
+            raise AssertionError("np.zeros or np.full called")
 
         monkeypatch.setattr(dcknap.solvers, "DP_MAX_CELLS", 4)
-        monkeypatch.setattr(dcknap.solvers, "np", SimpleNamespace(**{**vars(numpy), "zeros": no_allocation}))
+        monkeypatch.setattr(
+            dcknap.solvers, "np", SimpleNamespace(**{**vars(numpy), "zeros": no_allocation, "full": no_allocation})
+        )
         return run(capsys, "experiment", str(config), "--out-dir", str(tmp_path / "out"))
 
     def test_oversized_dp_exits_2_before_allocation(self, tmp_path, capsys, monkeypatch):

@@ -6,8 +6,10 @@ what the cover path reports for `tree.subinstance(node)`: the LP value, the
 exact DP cost and the greedy cost.
 """
 
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,9 @@ from dcknap import (
     lp_relax_solve,
     proctors_from_rate,
 )
+from dcknap import solvers
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS
-from dcknap.montecarlo import seeded_realization
+from dcknap.montecarlo import derive_seed, seeded_realization
 from dcknap.solvers import SORT_KEYS, solve_vertices, weight_ranks
 
 
@@ -90,6 +93,17 @@ def test_reference_realization_every_vertex():
     assert kernel_triples(tree) == cover_path_triples(tree)
 
 
+@pytest.mark.parametrize("key", SORT_KEYS)
+def test_dp_heavy_realization_every_vertex(key):
+    # Realization 0 of the dp_heavy benchmark workload: 1,024 binomial rooms,
+    # occupancy 0.3, rate 54, head-left, min_size 32.  The root's price-2
+    # group holds about 300 rooms, so grouped DP steps are large here.
+    realization = seeded_realization("binomial", 1024, Fraction(3, 10), 2024, 0)
+    sort = SortCriterion(key, seed=derive_seed(2024, 0, 0, "sort") if key == "random" else None)
+    tree = build_tree(build_instance(realization, 54), "hlT", sort, min_size=32)
+    assert kernel_triples(tree) == cover_path_triples(tree)
+
+
 def test_tied_weights_follow_tree_place():
     # Every room has weight 2; sorted by capacity, tree place differs from
     # position, and the greedy takes the tied rooms in tree place order.
@@ -102,3 +116,64 @@ def test_tied_weights_follow_tree_place():
 def test_weight_ranks_are_dense_and_exact():
     # 6/3 = 4/2 = 2 share rank 1; 5/1 is the largest; 7/4 the smallest.
     assert weight_ranks((6, 5, 4, 7), (3, 1, 2, 4)) == [1, 0, 1, 2]
+
+
+def _dp_value_of(inst):
+    """solvers._dp_value on the instance's greedy arrays and GAS."""
+    _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
+    gas = solvers._scan(caps, prices, inst.demand)[3]
+    return solvers._dp_value(caps, prices, inst.demand, gas)
+
+
+@st.composite
+def grouped_instances(draw):
+    """Up to 200 rooms with proctor counts drawn from at most 3 values, so
+    weight groups are large; the demand (at least 1) is placed so that the DP
+    indexes by cost, by budget, or either, as in tied_instances."""
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    n = draw(st.integers(1, 200))
+    prices = draw(st.lists(st.sampled_from(counts), min_size=n, max_size=n))
+    # Each room holds more students than it needs proctors: budget >= n.
+    caps = [p + draw(st.integers(1, 30)) for p in prices]
+    total_cap, total_p = sum(caps), sum(prices)
+    side = draw(st.sampled_from(("cost", "budget", "any")))
+    if side == "cost":
+        # budget >= total proctors >= GAS
+        demand = draw(st.integers(1, total_cap - total_p))
+    elif side == "budget":
+        # budget < cheapest room <= optimum <= GAS
+        demand = draw(st.integers(total_cap - min(prices) + 1, total_cap))
+    else:
+        demand = draw(st.integers(1, total_cap))
+    return ProblemInstance(caps, prices, demand)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(grouped_instances())
+def test_grouped_dp_matches_dp_solve(inst):
+    expected = dp_solve(inst)[1]
+    assert _dp_value_of(inst) == expected
+    # Small step caps split groups into chunks of one room or a few.
+    for cells in (1, 3, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_GROUP_CELLS", cells)
+            assert _dp_value_of(inst) == expected
+
+
+def test_grouped_dp_temporary_is_capped():
+    # 3,000 rooms of 1 proctor each form one weight group; at half the
+    # capacity the DP runs on the cost axis.  One uncapped step over the
+    # whole group would take 1,139 x 1,139 int32 cells (about 5 MiB).
+    realization = seeded_realization("uniform", 3000, Fraction(1, 2), 2024, 0)
+    inst = ProblemInstance(realization.capacities, (1,) * 3000, sum(realization.capacities) // 2)
+    _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
+    gas = solvers._scan(caps, prices, inst.demand)[3]
+    assert solvers._dp_axis(3000, inst.total_capacity, inst.demand, gas) == (True, 1138)
+    tracemalloc.start()
+    try:
+        value = solvers._dp_value(caps, prices, inst.demand, gas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == dp_solve(inst)[1]
+    assert peak < 1 << 20
