@@ -96,8 +96,9 @@ def test_reference_realization_every_vertex():
 @pytest.mark.parametrize("key", SORT_KEYS)
 def test_dp_heavy_realization_every_vertex(key):
     # Realization 0 of the dp_heavy benchmark workload: 1,024 binomial rooms,
-    # occupancy 0.3, rate 54, head-left, min_size 32.  The root's price-2
-    # group holds about 300 rooms, so grouped DP steps are large here.
+    # occupancy 0.3, rate 54, head-left, min_size 32.  At the root, 963 rooms
+    # cost 2 proctors; the DP keeps the 286 that fit on its 573-column cost
+    # axis and steps through them in chunks of 56.
     realization = seeded_realization("binomial", 1024, Fraction(3, 10), 2024, 0)
     sort = SortCriterion(key, seed=derive_seed(2024, 0, 0, "sort") if key == "random" else None)
     tree = build_tree(build_instance(realization, 54), "hlT", sort, min_size=32)
@@ -133,7 +134,8 @@ def grouped_instances(draw):
     counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
     n = draw(st.integers(1, 200))
     prices = draw(st.lists(st.sampled_from(counts), min_size=n, max_size=n))
-    # Each room holds more students than it needs proctors: budget >= n.
+    # Each room holds more students than it needs proctors, so total capacity
+    # - total proctors >= n and the cost side below always has a demand.
     caps = [p + draw(st.integers(1, 30)) for p in prices]
     total_cap, total_p = sum(caps), sum(prices)
     side = draw(st.sampled_from(("cost", "budget", "any")))
