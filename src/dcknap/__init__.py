@@ -14,11 +14,7 @@ from .errors import (
     InvalidPartitionError,
     SizeLimitError,
 )
-from .model import (
-    ProblemInstance,
-    proctors_from_rate,
-    specific_weights,
-)
+from .model import ProblemInstance, proctors_from_rate
 from .solvers import (
     LPRelaxation,
     SolutionTriple,

@@ -9,7 +9,7 @@ Vertices are numbered in left pre-order, root = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameterError, InvalidPartitionError
@@ -122,11 +122,8 @@ class DCNode:
 class DCTree:
     instance: ProblemInstance
     root: DCNode
-    nodes: list[DCNode] = field(default_factory=list)  # pre-order
-
-    @property
-    def height(self) -> int:
-        return max(node.height for node in self.nodes)
+    nodes: list[DCNode]  # pre-order
+    height: int  # of the deepest vertex
 
     def subinstance(self, node: DCNode) -> ProblemInstance:
         """The covering problem restricted to one node."""
@@ -170,7 +167,8 @@ def _build(instance, params):
         return node
 
     root = grow(order, instance.demand, 0)
-    return DCTree(instance=instance, root=root, nodes=nodes)
+    height = max(node.height for node in nodes)
+    return DCTree(instance=instance, root=root, nodes=nodes, height=height)
 
 
 def build_tree_headleft(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InfeasibleError, InvalidParameterError
 
@@ -65,6 +66,17 @@ class ProblemInstance:
     def total_proctors(self) -> int:
         return sum(self.proctors)
 
+    @cached_property
+    def weight_ranks(self) -> tuple[int, ...]:
+        """Dense rank of each room's specific weight capacity / proctors, 0 for
+        the largest; rooms with equal ratios share a rank.  Exact, with one
+        Fraction per distinct (capacity, proctors) pair; computed once."""
+        pairs = list(zip(self.capacities, self.proctors))
+        weight = {pair: Fraction(*pair) for pair in set(pairs)}
+        rank = {w: r for r, w in enumerate(sorted(set(weight.values()), reverse=True))}
+        pair_rank = {pair: rank[w] for pair, w in weight.items()}
+        return tuple(pair_rank[pair] for pair in pairs)
+
     def is_feasible(self) -> bool:
         return self.total_capacity >= self.demand
 
@@ -82,11 +94,3 @@ def proctors_from_rate(capacities, rate: int) -> tuple[int, ...]:
     if rate < 1:
         raise InvalidParameterError(f"rate must be >= 1, got {rate}")
     return tuple(-(-int(c) // rate) for c in capacities)
-
-
-def specific_weights(instance: ProblemInstance) -> tuple[Fraction, ...]:
-    """Capacity bought per proctor, room by room, as exact rationals."""
-    return tuple(
-        Fraction(c, p) for c, p in zip(instance.capacities, instance.proctors)
-    )
-

@@ -8,14 +8,15 @@
 * linear-relaxation lower bound (LRS): closed form, at most one fractional
   room, computed exactly as a Fraction.
 
-Specific weights are compared by `weight_ranks`, with one Fraction per
-distinct (capacity, proctors) pair, and `_greedy` gives the one greedy
-order.  LRS and GAS come from one cumulative-sum scan in that order, and
-GAS bounds the cost axis of every DP.  `solve_vertices`, the tree kernel,
-ranks a tree's rooms once and solves every vertex on integer arrays,
-running a value-only DP (one rolling row, one max-plus step per distinct
-room weight) only where ceil(LRS) < GAS.  `solve_triple` runs the same
-per-vertex code on one instance.
+Specific weights are compared by the instance's exact rank,
+`ProblemInstance.weight_ranks`, computed once per instance and read by both
+the `specific_weight` sort and `_greedy`, the one greedy order.  LRS and
+GAS come from one cumulative-sum scan in that order, and GAS bounds the
+cost axis of every DP.  `solve_vertices`, the tree kernel, orders a tree's
+rooms once and solves every vertex on integer arrays, running a value-only
+DP (one rolling row, one max-plus step per distinct room weight) only where
+ceil(LRS) < GAS.  `solve_triple` runs the same per-vertex code on one
+instance.
 """
 
 from __future__ import annotations
@@ -38,16 +39,6 @@ DP_MAX_CELLS = 1 << 28
 
 # Largest temporary of one grouped value-only DP step, in int32 cells (128 KiB).
 _GROUP_CELLS = 1 << 15
-
-
-def weight_ranks(capacities, proctors) -> list[int]:
-    """Dense rank of each room's specific weight capacity / proctors, 0 for
-    the largest; rooms with equal ratios share a rank."""
-    pairs = list(zip(capacities, proctors))
-    weight = {pair: Fraction(*pair) for pair in set(pairs)}
-    rank = {w: r for r, w in enumerate(sorted(set(weight.values()), reverse=True))}
-    pair_rank = {pair: rank[w] for pair, w in weight.items()}
-    return [pair_rank[pair] for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ class SortCriterion:
             rng = np.random.default_rng(self.seed)
             return [int(i) for i in rng.permutation(n)]
         if self.key == "specific_weight":
-            keys = weight_ranks(instance.capacities, instance.proctors)
+            keys = instance.weight_ranks
         elif self.key == "proctors":
             keys = [-p for p in instance.proctors]
         else:
@@ -119,8 +110,7 @@ def _greedy(instance: ProblemInstance, order) -> tuple[list[int], np.ndarray, np
     """Greedy order of the room positions in `order`: by descending specific
     weight, ties by place in `order`; as (positions, capacities, proctors),
     the last two int64 arrays."""
-    ranks = weight_ranks(instance.capacities, instance.proctors)
-    positions = sorted(order, key=ranks.__getitem__)  # stable: ties by place
+    positions = sorted(order, key=instance.weight_ranks.__getitem__)  # stable: ties by place
     return (
         positions,
         np.array(instance.capacities, dtype=np.int64)[positions],

@@ -1,4 +1,4 @@
-"""Golden `--out-dir` snapshots of three small experiment grids.
+"""Golden `--out-dir` snapshots of four small experiment grids.
 
 Each directory under tests/data/golden/ holds the complete output of
 `dcknap experiment` for the config of the same name below.  Refactors must
@@ -8,8 +8,9 @@ snapshot with
     PYTHONPATH=src python -m dcknap.cli experiment CONFIG --out-dir tests/data/golden/NAME
 
 The grids pin what the single-tree tests do not: the balanced tree, the
-head-fraction and occupancy sweeps, the hlT/blT l1 comparison and the seeded
-random sort key.
+head-fraction, occupancy and rate sweeps (each rate is a new instance with
+new specific-weight ranks), the hlT/blT l1 comparison, the seeded random sort
+key, the binomial sampler and floor rounding.
 """
 
 import pytest
@@ -23,6 +24,7 @@ _BASE = "n_rooms=32\nrealizations=3\nmin_size=4\nmaster_seed=11\n"
 
 GOLDEN_CONFIGS = {
     "both_o": _BASE + "tree_alg=both\nsweep=o\n",
+    "both_r": _BASE + "tree_alg=both\nsweep=r\ndist=binomial\nrounding=floor\n",
     "both_s": _BASE + "tree_alg=both\nsweep=s\n",
     "hlT_f": _BASE + "tree_alg=hlT\nsweep=f\n",
 }
@@ -53,3 +55,4 @@ def test_snapshots_cover_the_untested_paths():
     assert b"random" in both["avg_blT_DPS.csv"]
     assert len(_tree_bytes(GOLDEN_DIR / "hlT_f")) == 14
     assert len(_tree_bytes(GOLDEN_DIR / "both_o")) == 28
+    assert len(_tree_bytes(GOLDEN_DIR / "both_r")) == 28

@@ -22,11 +22,12 @@ from dcknap import (
     greedy_solve,
     lp_relax_solve,
     proctors_from_rate,
+    solve_tree,
 )
 from dcknap import solvers
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS
 from dcknap.montecarlo import derive_seed, seeded_realization
-from dcknap.solvers import SORT_KEYS, solve_vertices, weight_ranks
+from dcknap.solvers import SORT_KEYS, solve_vertices
 
 
 def cover_path_triples(tree):
@@ -116,7 +117,21 @@ def test_tied_weights_follow_tree_place():
 
 def test_weight_ranks_are_dense_and_exact():
     # 6/3 = 4/2 = 2 share rank 1; 5/1 is the largest; 7/4 the smallest.
-    assert weight_ranks((6, 5, 4, 7), (3, 1, 2, 4)) == [1, 0, 1, 2]
+    assert ProblemInstance((6, 5, 4, 7), (3, 1, 2, 4), 0).weight_ranks == (1, 0, 1, 2)
+
+
+@pytest.mark.parametrize("algorithm", TREE_ALGORITHMS)
+def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
+    # The tree's sort and the kernel's greedy order read one cached rank.
+    prop = ProblemInstance.__dict__["weight_ranks"]
+    ranked = []
+    rank = prop.func
+    monkeypatch.setattr(prop, "func", lambda inst: ranked.append(inst) or rank(inst))
+    realization = seeded_realization("uniform", 64, Fraction(9, 10), 2024, 0)
+    inst = build_instance(realization, 54)
+    solve_tree(build_tree(inst, algorithm, SortCriterion("specific_weight"), min_size=4))
+    assert len(ranked) == 1 and ranked[0] is inst
+    assert inst.weight_ranks is inst.weight_ranks
 
 
 def _dp_value_of(inst):

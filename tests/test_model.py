@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from dcknap import (
     InvalidParameterError,
     ProblemInstance,
     proctors_from_rate,
-    specific_weights,
 )
 
 
@@ -39,24 +36,24 @@ class TestProctorsFromRate:
         assert all(p >= 1 for p in proctors_from_rate([1, 2, 3], 1000))
 
 
-class TestSpecificWeights:
+class TestWeightRanks:
     def test_two_rooms(self):
-        inst = ProblemInstance((100, 40), (4, 2), 40)
-        assert specific_weights(inst) == (Fraction(25), Fraction(20))
+        # 100/4 = 25 ranks above 40/2 = 20.
+        assert ProblemInstance((100, 40), (4, 2), 40).weight_ranks == (0, 1)
 
     def test_equal_rooms(self):
-        inst = ProblemInstance((10, 10), (1, 1), 5)
-        assert specific_weights(inst) == (Fraction(10), Fraction(10))
-
-    def test_irreducible_fraction_kept(self):
-        inst = ProblemInstance((89,), (2,), 10)
-        assert specific_weights(inst) == (Fraction(89, 2),)
+        assert ProblemInstance((10, 10), (1, 1), 5).weight_ranks == (0, 0)
 
     def test_common_divisor_rate_gives_equal_weights(self):
         rate = 12
         caps = tuple(rate * k for k in (1, 3, 5, 7))
         inst = ProblemInstance(caps, proctors_from_rate(caps, rate), 50)
-        assert all(w == rate for w in specific_weights(inst))
+        assert inst.weight_ranks == (0, 0, 0, 0)
+
+    def test_exact_where_float_division_ties(self):
+        caps, proctors = (10**9 + 1, 10**9 + 2), (10**9, 10**9 + 1)
+        assert caps[0] / proctors[0] == caps[1] / proctors[1]
+        assert ProblemInstance(caps, proctors, 0).weight_ranks == (0, 1)
 
 
 class TestValidation:
