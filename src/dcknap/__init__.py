@@ -30,8 +30,6 @@ from .dctree import (
     DCTree,
     HEAD_LEFT,
     build_tree,
-    build_tree_balanced,
-    build_tree_headleft,
     prune,
     split_demand,
     to_dot,

@@ -219,16 +219,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     tree_alg = values.get("tree_alg", HEAD_LEFT)
     algorithms = (HEAD_LEFT, BALANCED) if tree_alg == "both" else (tree_alg,)
-    head_fraction = values.get("head_fraction")
-    if algorithms[0] == HEAD_LEFT and head_fraction is None:
-        head_fraction = Fraction(1, 2)
 
     kwargs = {key: v for key, v in values.items() if key in _PARAM_FIELDS}
     try:
         kwargs.update(
             tree_alg=algorithms[0],
             sort=_sort_criterion(values.get("sort", "specific_weight"), values.get("sort_seed")),
-            head_fraction=head_fraction,
         )
         params = ExperimentParams(**kwargs)
     except InvalidParameterError as exc:
@@ -299,12 +295,10 @@ def _critical_heights(results, aggregation="mean"):
     for name in EFFICIENCY_METRICS:
         start = metric_start_height(name)
         length = shared - start + 1
+        if length < 3:
+            continue  # too short to ever observe a doubling
         columns = {v: results[v].average.metric(name)[:length] for v in results}
-        try:
-            position = critical_height(columns, aggregation)
-        except InvalidParameterError:
-            continue  # series too short to ever observe a doubling
-        heights[name] = position + start
+        heights[name] = critical_height(columns, aggregation) + start
     mode = critical_height_mode(list(heights.values())) if heights else None
     return heights, mode
 

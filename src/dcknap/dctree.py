@@ -1,9 +1,11 @@
 """Binary decomposition trees: split a room list in two, hand each side a
 proportional share of the demand, and recurse until lists are small.
 
-Two generators are provided.  The head-left tree puts the first
-floor(fraction * size) rooms of the (once-sorted) list into the left child;
-the balanced tree puts the even positions left and the odd positions right.
+One builder, `build_tree`, grows both trees of the paper.  The head-left
+tree (hlT) puts the first floor(fraction * size) rooms of the (once-sorted)
+list into the left child; the balanced tree (blT) puts the even positions
+left and the odd positions right.  `TreeParams` checks the parameters and
+owns the one default: an hlT tree without a head fraction splits at 1/2.
 Vertices are numbered in left pre-order, root = 0.
 """
 
@@ -69,13 +71,14 @@ def split_demand(
 class TreeParams:
     """Generation parameters of a decomposition tree.
 
-    The one place tree parameters are checked: builders and
-    ExperimentParams construct one to validate theirs.
+    The one place tree parameters are checked, and the one owner of the
+    head-fraction default: `build_tree` and ExperimentParams construct one
+    to validate and complete theirs.
     """
 
     algorithm: str  # "hlT" or "blT"
     sort: SortCriterion
-    fraction: Fraction | None  # head fraction, hlT only
+    fraction: Fraction | None  # head fraction, hlT only; None means 1/2
     min_size: int
     rounding: str
 
@@ -88,10 +91,8 @@ class TreeParams:
         if self.algorithm == BALANCED:
             if self.fraction is not None:
                 raise InvalidParameterError("the balanced tree takes no head fraction")
-        elif self.fraction is None:
-            raise InvalidParameterError("the head-left tree needs a head fraction")
         else:
-            fraction = as_fraction(self.fraction)
+            fraction = Fraction(1, 2) if self.fraction is None else as_fraction(self.fraction)
             if not 0 <= fraction <= 1:
                 raise InvalidParameterError(f"head fraction must lie in [0, 1], got {fraction}")
             object.__setattr__(self, "fraction", fraction)
@@ -135,11 +136,25 @@ class DCTree:
         )
 
 
-def _build(instance, params):
-    """Shared recursive generator; params.algorithm picks the splitter."""
+def build_tree(
+    instance: ProblemInstance,
+    algorithm: str,
+    sort: SortCriterion,
+    fraction=None,
+    min_size: int = 2,
+    rounding: str = "ceil",
+) -> DCTree:
+    """Decomposition tree of `instance`; `algorithm` is "hlT" or "blT".
+
+    The room list is sorted once at the root by `sort`; children inherit
+    the order.  hlT puts the leading floor(fraction * size) rooms left
+    (`fraction` None means 1/2, see `TreeParams`); blT takes no fraction and
+    puts the even positions left, the odd ones right.  Recursion stops once
+    a list has at most `min_size` rooms or a child would come out empty.
+    """
+    params = TreeParams(algorithm, sort, fraction, min_size, rounding)
     instance.require_feasible()
     caps = instance.capacities
-    order = params.sort.order(instance)
     nodes: list[DCNode] = []
 
     def splitter(rooms):
@@ -166,42 +181,9 @@ def _build(instance, params):
         node.right = grow(right_rooms, d_right, height + 1)
         return node
 
-    root = grow(order, instance.demand, 0)
+    root = grow(sort.order(instance), instance.demand, 0)
     height = max(node.height for node in nodes)
     return DCTree(instance=instance, root=root, nodes=nodes, height=height)
-
-
-def build_tree_headleft(
-    instance: ProblemInstance,
-    sort: SortCriterion,
-    fraction=Fraction(1, 2),
-    min_size: int = 2,
-    rounding: str = "ceil",
-) -> DCTree:
-    """Head-left tree: left child = leading fraction of the sorted list.
-
-    The room list is sorted once at the root; children inherit the order.
-    Recursion stops once a list has at most `min_size` rooms or a child
-    would come out empty.
-    """
-    return _build(instance, TreeParams(HEAD_LEFT, sort, fraction, min_size, rounding))
-
-
-def build_tree_balanced(
-    instance: ProblemInstance,
-    sort: SortCriterion,
-    min_size: int = 2,
-    rounding: str = "ceil",
-) -> DCTree:
-    """Balanced tree: even positions of the sorted list left, odd right."""
-    return _build(instance, TreeParams(BALANCED, sort, None, min_size, rounding))
-
-
-def build_tree(instance, algorithm, sort, fraction=None, min_size=2, rounding="ceil"):
-    """Dispatch on the algorithm name ("hlT" or "blT"); hlT defaults to 1/2."""
-    if algorithm == HEAD_LEFT and fraction is None:
-        fraction = Fraction(1, 2)
-    return _build(instance, TreeParams(algorithm, sort, fraction, min_size, rounding))
 
 
 def prune(tree: DCTree, h: int) -> list[DCNode]:
@@ -215,17 +197,10 @@ def prune(tree: DCTree, h: int) -> list[DCNode]:
         raise InvalidParameterError(
             f"height {h} outside the tree's range [0, {tree.height}]"
         )
-    leaves: list[DCNode] = []
-
-    def walk(node):
-        if node.is_leaf or node.height == h:
-            leaves.append(node)
-            return
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
-    return leaves
+    return [
+        node for node in tree.nodes
+        if node.height == h or (node.is_leaf and node.height < h)
+    ]
 
 
 def to_dot(tree: DCTree) -> str:

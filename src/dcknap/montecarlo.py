@@ -18,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dctree import BALANCED, HEAD_LEFT, TreeParams, build_tree
+from .dctree import HEAD_LEFT, TreeParams, build_tree
 from .errors import InvalidParameterError
 from .metrics import EfficiencySeries, average_series, solve_tree
-from .model import ProblemInstance, proctors_from_rate
+from .model import MAX_TOTAL_CAPACITY, ProblemInstance, proctors_from_rate
 from .rounding import as_fraction
 from .solvers import SORT_KEYS, SortCriterion
 
@@ -45,21 +45,38 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_capacities(dist: str, n: int, seed: int) -> tuple[int, ...]:
-    """Draw `n` positive room capacities from the named distribution."""
+def _check_room_count(dist: str, n: int) -> None:
+    """Refuse a distribution name or room count that no draw can serve.
+
+    Even the smallest capacities of `n` rooms (40 each for uniform, 1 for
+    Poisson and binomial, whose zero draws are redrawn) must total at most
+    MAX_TOTAL_CAPACITY, or no draw could form a ProblemInstance; refusing
+    such an `n` before sampling loses nothing.
+    """
+    if dist not in DISTRIBUTIONS:
+        raise InvalidParameterError(
+            f"unknown distribution {dist!r}; expected one of {DISTRIBUTIONS}"
+        )
     if n < 1:
         raise InvalidParameterError("need at least one room")
+    smallest = n * (UNIFORM_LOW if dist == "uniform" else 1)
+    if smallest > MAX_TOTAL_CAPACITY:
+        raise InvalidParameterError(
+            f"{n} {dist} rooms hold at least {smallest} students, more than "
+            f"the supported total capacity {MAX_TOTAL_CAPACITY}"
+        )
+
+
+def sample_capacities(dist: str, n: int, seed: int) -> tuple[int, ...]:
+    """Draw `n` positive room capacities from the named distribution."""
+    _check_room_count(dist, n)
     rng = np.random.default_rng(seed)
     if dist == "uniform":
         caps = rng.integers(UNIFORM_LOW, UNIFORM_HIGH + 1, size=n)
     elif dist == "poisson":
         caps = rng.poisson(POISSON_MEAN, size=n)
-    elif dist == "binomial":
-        caps = rng.binomial(BINOMIAL_TRIALS, BINOMIAL_P, size=n)
     else:
-        raise InvalidParameterError(
-            f"unknown distribution {dist!r}; expected one of {DISTRIBUTIONS}"
-        )
+        caps = rng.binomial(BINOMIAL_TRIALS, BINOMIAL_P, size=n)
     # A zero-capacity room would cost zero proctors; redraw until positive.
     while True:
         zero = caps == 0
@@ -120,8 +137,8 @@ class ExperimentParams:
     """The full parameter tuple of one Monte Carlo experiment.
 
     Defaults are the standard setting: 512 rooms, occupancy 0.9, rate 54,
-    specific-weight sorting, head fraction 0.5, minimum list size 4, and 50
-    realizations.
+    specific-weight sorting, head fraction 0.5 (`TreeParams` fills it in for
+    hlT), minimum list size 4, and 50 realizations.
     """
 
     n_rooms: int = 512
@@ -130,7 +147,7 @@ class ExperimentParams:
     rate: int = 54
     tree_alg: str = HEAD_LEFT
     sort: SortCriterion = SortCriterion("specific_weight")
-    head_fraction: Fraction | None = Fraction(1, 2)
+    head_fraction: Fraction | None = None
     min_size: int = 4
     rounding: str = "ceil"
     realizations: int = 50
@@ -138,10 +155,7 @@ class ExperimentParams:
 
     def __post_init__(self):
         object.__setattr__(self, "occupancy", as_fraction(self.occupancy))
-        if self.dist not in DISTRIBUTIONS:
-            raise InvalidParameterError(
-                f"unknown distribution {self.dist!r}; expected one of {DISTRIBUTIONS}"
-            )
+        _check_room_count(self.dist, self.n_rooms)
         tree = TreeParams(
             self.tree_alg, self.sort, self.head_fraction, self.min_size, self.rounding
         )
@@ -154,8 +168,6 @@ class ExperimentParams:
             raise InvalidParameterError("rate must be >= 1")
         if self.realizations < 1:
             raise InvalidParameterError("need at least one realization")
-        if self.n_rooms < 1:
-            raise InvalidParameterError("need at least one room")
 
 
 @dataclass(frozen=True)
@@ -238,8 +250,6 @@ def sweep(params: ExperimentParams, variable: str, domain=None) -> dict:
         raise InvalidParameterError(
             f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"
         )
-    if variable == "f" and params.tree_alg == BALANCED:
-        raise InvalidParameterError("cannot sweep the head fraction of a balanced tree")
     if domain is None:
         domain = default_domain(variable)
     if not domain:

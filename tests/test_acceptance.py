@@ -11,8 +11,7 @@ from dcknap import (
     ExperimentParams,
     ProblemInstance,
     SortCriterion,
-    build_tree_balanced,
-    build_tree_headleft,
+    build_tree,
     critical_height,
     dp_solve,
     format_2dec,
@@ -78,10 +77,10 @@ def test_criterion_01_worked_micro_examples():
 
 def test_criterion_02_reference_tree_reproduction():
     inst = r1_instance()
-    build_tree_headleft(inst, GAMMA, Fraction(1, 2), 2, "ceil")  # warmup
+    build_tree(inst, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")  # warmup
 
     def check():
-        head = build_tree_headleft(inst, GAMMA, Fraction(1, 2), 2, "ceil")
+        head = build_tree(inst, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
         assert tuple(n.demand for n in head.nodes) == (633, 309, 144, 165, 324, 155, 169)
         assert tuple(n.rooms for n in head.nodes) == (
             (1, 7, 2, 3, 5, 4, 6, 0),
@@ -92,7 +91,7 @@ def test_criterion_02_reference_tree_reproduction():
             (5, 4),
             (6, 0),
         )
-        balanced = build_tree_balanced(inst, GAMMA, 2, "ceil")
+        balanced = build_tree(inst, "blT", GAMMA, None, 2, "ceil")
         assert tuple(n.demand for n in balanced.nodes) == (633, 281, 127, 154, 352, 171, 181)
         assert tuple(n.rooms for n in balanced.nodes) == (
             (1, 7, 2, 3, 5, 4, 6, 0),
@@ -110,10 +109,10 @@ def test_criterion_02_reference_tree_reproduction():
 
 def test_criterion_03_reference_efficiency_table():
     inst = r1_instance()
-    solve_tree(build_tree_headleft(inst, GAMMA, Fraction(1, 2), 2, "ceil"))  # warmup
+    solve_tree(build_tree(inst, "hlT", GAMMA, Fraction(1, 2), 2, "ceil"))  # warmup
 
     def check():
-        tree = build_tree_headleft(inst, GAMMA, Fraction(1, 2), 2, "ceil")
+        tree = build_tree(inst, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
         series = solve_tree(tree)
         assert [format_2dec(v) for v in series.lrs] == ["14.12", "14.25", "14.36"]
         assert series.dps == (15, 16, 16)
@@ -195,9 +194,9 @@ def test_criterion_06_structural_invariants():
         rounding = ("ceil", "floor")[k % 2]
         if k % 2 == 0:
             fraction = Fraction(35 + 5 * (k % 7), 100)
-            tree = build_tree_headleft(inst, sort, fraction, 4, rounding)
+            tree = build_tree(inst, "hlT", sort, fraction, 4, rounding)
         else:
-            tree = build_tree_balanced(inst, sort, 4, rounding)
+            tree = build_tree(inst, "blT", sort, None, 4, rounding)
 
         for h in range(tree.height + 1):
             leaves = prune(tree, h)

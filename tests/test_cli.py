@@ -6,16 +6,19 @@ import numpy
 import pytest
 
 from dcknap import (
+    EFFICIENCY_METRICS,
     ExperimentParams,
+    InvalidParameterError,
     ProblemInstance,
     dp_solve,
     lp_relax_solve,
     proctors_from_rate,
     read_rooms_csv,
     run_experiment,
+    sweep,
 )
 import dcknap.solvers
-from dcknap.cli import main, parse_config
+from dcknap.cli import _critical_heights, main, parse_config
 from dcknap.errors import ConfigError
 
 SMOKE_CONFIG = """\
@@ -114,6 +117,13 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--count", "0", "--out", str(out))
         assert code == 2
         assert err.startswith("error: need at least one realization")
+        assert not out.exists()
+
+    def test_huge_room_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rooms.csv"
+        code, _, err = run(capsys, "generate", "--n", "10000000000000", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and "2147483647" in err
         assert not out.exists()
 
 
@@ -415,6 +425,15 @@ class TestExperiment:
         assert err.startswith(expected)
         assert not out_dir.exists()
 
+    def test_huge_room_count_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text("n_rooms=10000000000000\n")
+        out_dir = tmp_path / "r"
+        code, _, err = run(capsys, "experiment", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: ") and "2147483647" in err
+        assert not out_dir.exists()
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_bytes(b"n_rooms=8\ndist=\xff\n")
@@ -482,6 +501,17 @@ class TestExperiment:
         )
         assert code == 2
         assert "exact DP table of" in err
+
+    def test_critical_heights_skip_only_short_series(self):
+        # Height 2: GbE series cover heights 0..2, SwE series only 1..2.
+        params = ExperimentParams(n_rooms=8, min_size=2, realizations=1, master_seed=3)
+        results = sweep(params, "r", domain=(34, 54))
+        assert {r.average.height for r in results.values()} == {2}
+        heights, mode = _critical_heights(results)
+        assert sorted(heights) == sorted(n for n in EFFICIENCY_METRICS if not n.startswith("SwE"))
+        assert mode is not None
+        with pytest.raises(InvalidParameterError, match="aggregation"):
+            _critical_heights(results, "median")
 
     def test_bound_settled_vertices_allocate_nothing(self, tmp_path, capsys, monkeypatch):
         # One proctor per room: ceil(LRS) = GAS on every vertex, so no DP runs.

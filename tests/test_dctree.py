@@ -12,15 +12,13 @@ from dcknap import (
     ProblemInstance,
     SortCriterion,
     build_tree,
-    build_tree_balanced,
-    build_tree_headleft,
     dp_solve,
     proctors_from_rate,
     prune,
     split_demand,
     to_dot,
 )
-from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS
+from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, TreeParams
 from dcknap.solvers import SORT_KEYS
 from conftest import random_instance
 
@@ -119,53 +117,58 @@ class TestSlackCondition:
 
 class TestHeadLeftTree:
     def test_realization_one_structure(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 2, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
         assert tuple(n.demand for n in tree.nodes) == HEAD_LEFT_DEMANDS
         assert tuple(n.rooms for n in tree.nodes) == HEAD_LEFT_ROOMS
         assert tree.height == 2
 
     def test_min_size_at_least_n_gives_single_node(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 8, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 8, "ceil")
         assert len(tree.nodes) == 1
         assert tree.height == 0
 
     def test_fraction_04_root_children_sizes(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(2, 5), 2, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(2, 5), 2, "ceil")
         assert len(tree.root.left.rooms) == 3
         assert len(tree.root.right.rooms) == 5
 
     def test_float_fraction_is_exact(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, 0.4, 2, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, 0.4, 2, "ceil")
         assert len(tree.root.left.rooms) == 3
+
+    def test_fraction_defaults_to_half(self, r1_instance):
+        tree = build_tree(r1_instance, "hlT", GAMMA)
+        assert tuple(n.rooms for n in tree.nodes) == HEAD_LEFT_ROOMS
+        assert TreeParams("hlT", GAMMA, None, 2, "ceil").fraction == Fraction(1, 2)
 
     def test_fraction_bounds(self, r1_instance):
         with pytest.raises(InvalidParameterError):
-            build_tree_headleft(r1_instance, GAMMA, Fraction(3, 2), 2, "ceil")
+            build_tree(r1_instance, "hlT", GAMMA, Fraction(3, 2), 2, "ceil")
 
     def test_tiny_fraction_stops_splitting(self, r1_instance):
         # floor(f * 8) == 0 would leave an empty child, so the root is a leaf
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 100), 2, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 100), 2, "ceil")
         assert len(tree.nodes) == 1
 
     def test_floor_rounding_shifts_the_demands(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 2, "floor")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "floor")
         assert (tree.root.left.demand, tree.root.right.demand) == (308, 325)
         assert tuple(n.rooms for n in tree.nodes) == HEAD_LEFT_ROOMS
 
 
 class TestBalancedTree:
     def test_realization_one_structure(self, r1_instance):
-        tree = build_tree_balanced(r1_instance, GAMMA, 2, "ceil")
+        tree = build_tree(r1_instance, "blT", GAMMA, None, 2, "ceil")
         assert tuple(n.demand for n in tree.nodes) == BALANCED_DEMANDS
         assert tuple(n.rooms for n in tree.nodes) == BALANCED_ROOMS
 
     def test_two_room_list_is_a_leaf(self):
         inst = ProblemInstance((10, 20), (1, 1), 15)
-        tree = build_tree_balanced(inst, GAMMA, 2, "ceil")
+        tree = build_tree(inst, "blT", GAMMA, None, 2, "ceil")
         assert len(tree.nodes) == 1
 
     def test_eight_room_parity_split(self, r1_instance):
-        tree = build_tree_balanced(r1_instance, GAMMA, 2, "ceil")
+        tree = build_tree(r1_instance, "blT", GAMMA, None, 2, "ceil")
         assert len(tree.root.left.rooms) == 4
         assert len(tree.root.right.rooms) == 4
 
@@ -173,7 +176,7 @@ class TestBalancedTree:
 class TestPrune:
     @pytest.fixture
     def tree(self, r1_instance):
-        return build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 2, "ceil")
+        return build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
 
     def test_height_zero_is_the_root(self, tree):
         assert [n.index for n in prune(tree, 0)] == [0]
@@ -251,6 +254,9 @@ class TestTreeProperties:
         inst, tree = case
         for h in range(tree.height + 1):
             leaves = prune(tree, h)
+            # pre-order, and exactly the docstring's rule
+            assert all(a.index < b.index for a, b in zip(leaves, leaves[1:]))
+            assert all(n.height == h or (n.is_leaf and n.height < h) for n in leaves)
             assert sorted(i for leaf in leaves for i in leaf.rooms) == list(range(inst.n_rooms))
             assert sum(leaf.demand for leaf in leaves) == inst.demand
             assert all(leaf.demand <= tree.subinstance(leaf).total_capacity for leaf in leaves)
@@ -325,7 +331,7 @@ class TestTreeInvariants:
 
 class TestDotExport:
     def test_labels_carry_demand_and_size(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 2, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
         dot = to_dot(tree)
         assert dot.startswith("digraph")
         assert 'v0 [label="D=633 |V|=8"]' in dot

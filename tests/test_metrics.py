@@ -9,7 +9,6 @@ from dcknap import (
     SortCriterion,
     average_series,
     build_tree,
-    build_tree_headleft,
     critical_height,
     critical_height_mode,
     efficiency_array,
@@ -40,7 +39,7 @@ def rate_columns():
 class TestRealizationOneSeries:
     @pytest.fixture
     def series(self, r1_instance) -> EfficiencySeries:
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 2, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
         return solve_tree(tree)
 
     def test_solution_rows(self, series):
@@ -69,7 +68,7 @@ class TestRealizationOneSeries:
 
 class TestSingleNodeTree:
     def test_series_collapses_to_the_root_triple(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 8, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 8, "ceil")
         series = solve_tree(tree)
         triple = solve_triple(r1_instance)
         assert series.height == 0
@@ -252,14 +251,14 @@ class TestAverageSeries:
 
 class TestEfficiencyArray:
     def test_stepwise_metrics_align_on_heights(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 2, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
         series = solve_tree(tree)
         block = efficiency_array(series, ["GbE_DPS", "SwE_DPS"], 2)
         assert block[0] == [series.gbe_dps[1], series.gbe_dps[2]]
         assert block[1] == [series.swe_dps[0], series.swe_dps[1]]
 
     def test_h_range_validated(self, r1_instance):
-        tree = build_tree_headleft(r1_instance, GAMMA, Fraction(1, 2), 2, "ceil")
+        tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
         series = solve_tree(tree)
         with pytest.raises(InvalidParameterError):
             efficiency_array(series, ["GAE"], 3)

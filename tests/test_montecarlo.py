@@ -54,6 +54,27 @@ class TestSampling:
         with pytest.raises(InvalidParameterError):
             sample_capacities("uniform", 0, seed=0)
 
+    def test_room_count_past_capacity_limit_refused_before_sampling(self, monkeypatch):
+        # 60e6 uniform rooms hold at least 2.4e9 > 2^31 - 1 students.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        with pytest.raises(InvalidParameterError, match="2147483647"):
+            sample_capacities("uniform", 60_000_000, seed=0)
+        with pytest.raises(InvalidParameterError, match="2147483647"):
+            ExperimentParams(n_rooms=60_000_000)
+
+    def test_room_count_limit_is_the_smallest_total(self):
+        limit = 2**31 - 1
+        ExperimentParams(n_rooms=limit // 40)
+        with pytest.raises(InvalidParameterError):
+            ExperimentParams(n_rooms=limit // 40 + 1)
+        for dist in ("poisson", "binomial"):
+            ExperimentParams(dist=dist, n_rooms=limit)
+            with pytest.raises(InvalidParameterError):
+                ExperimentParams(dist=dist, n_rooms=limit + 1)
+
 
 class TestDemand:
     @pytest.mark.parametrize(
@@ -99,13 +120,12 @@ class TestExperimentParams:
         assert p.tree_alg == "hlT"
 
     def test_balanced_rejects_head_fraction(self):
-        with pytest.raises(InvalidParameterError):
-            ExperimentParams(tree_alg="blT")  # default head fraction present
-        ExperimentParams(tree_alg="blT", head_fraction=None)
+        with pytest.raises(InvalidParameterError, match="takes no head fraction"):
+            ExperimentParams(tree_alg="blT", head_fraction=Fraction(1, 2))
+        assert ExperimentParams(tree_alg="blT").head_fraction is None
 
-    def test_head_left_needs_fraction(self):
-        with pytest.raises(InvalidParameterError):
-            ExperimentParams(tree_alg="hlT", head_fraction=None)
+    def test_head_left_fraction_defaults_to_half(self):
+        assert ExperimentParams(tree_alg="hlT", head_fraction=None).head_fraction == Fraction(1, 2)
 
     def test_occupancy_domain(self):
         with pytest.raises(InvalidParameterError):
@@ -168,7 +188,7 @@ class TestSweep:
         params = ExperimentParams(
             n_rooms=16, realizations=2, tree_alg="blT", head_fraction=None
         )
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="takes no head fraction"):
             sweep(params, "f")
 
     def test_unknown_variable(self):
