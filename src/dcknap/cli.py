@@ -198,7 +198,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key=value lines -> a validated experiment configuration."""
-    raw = {}
+    raw, seen_at = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -206,7 +206,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in seen_at:
+            raise ConfigError(f"{key} is set twice, on lines {seen_at[key]} and {lineno}")
+        seen_at[key] = lineno
+        raw[key] = value.strip()
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

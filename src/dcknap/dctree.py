@@ -182,6 +182,7 @@ def build_tree(
         return node
 
     root = grow(sort.order(instance), instance.demand, 0)
+    del grow  # the recursive closure is a cycle that would hold `nodes` until a gc pass
     height = max(node.height for node in nodes)
     return DCTree(instance=instance, root=root, nodes=nodes, height=height)
 

@@ -14,11 +14,14 @@ and the bound gaps at each height are
     LRE(h) = 100 * (DPS(h) - LRS(h)) / DPS(h)
 
 Everything is exact rational arithmetic; rendering rounds half-up to two
-decimals only at the edge.
+decimals only at the edge.  `solve_tree` takes every vertex's bounds from
+the `solvers` kernel as integer arrays and sums DPS and GAS as ints and LRS
+per distinct denominator, so each height builds one Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,21 +107,33 @@ class EfficiencySeries:
         return getattr(self, field)
 
 
+def _fraction_sum(pairs) -> Fraction:
+    """Exact sum of (numerator, denominator) pairs as one Fraction: the
+    numerators are summed per distinct denominator, then over their lcm."""
+    by_den = {}
+    for num, den in pairs:
+        by_den[den] = by_den.get(den, 0) + num
+    common = math.lcm(*by_den)
+    return Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
+
+
 def solve_tree(tree: DCTree) -> EfficiencySeries:
     """Solve every node of the tree and compute the per-height series.
 
-    All vertices are solved in one pass over the root's rooms
-    (`solve_vertices`), with no sub-instance per vertex.
+    All vertices are solved in one scan over flat arrays (`solve_vertices`),
+    with no sub-instance per vertex.
     """
-    triples = solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
+    num, den, dps_v, gas_v = (
+        a.tolist() for a in solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
+    )
 
     heights = range(tree.height + 1)
     lrs, dps, gas = [], [], []
     for h in heights:
-        leaves = [triples[leaf.index] for leaf in prune(tree, h)]
-        lrs.append(sum((t.lrs for t in leaves), Fraction(0)))
-        dps.append(sum(t.dps for t in leaves))
-        gas.append(sum(t.gas for t in leaves))
+        leaves = [leaf.index for leaf in prune(tree, h)]
+        lrs.append(_fraction_sum((num[i], den[i]) for i in leaves))
+        dps.append(sum(dps_v[i] for i in leaves))
+        gas.append(sum(gas_v[i] for i in leaves))
 
     columns = {
         "LRS": tuple(lrs),

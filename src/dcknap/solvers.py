@@ -12,20 +12,21 @@ Specific weights are compared by the instance's exact rank,
 `ProblemInstance.weight_ranks`, computed once per instance and read by both
 the `specific_weight` sort and `_greedy`, the one greedy order.  LRS and
 GAS come from one cumulative-sum scan in that order, and GAS bounds the
-cost axis of every DP.  `solve_vertices`, the tree kernel, orders a tree's
-rooms once and solves every vertex on integer arrays, running a value-only
-DP (one rolling row, one max-plus step per distinct room weight) only where
-ceil(LRS) < GAS.  `solve_triple` runs the same per-vertex code on one
-instance.
+cost axis of every DP.  `solve_vertices`, the tree kernel, lays a whole
+tree's vertices end to end in one flat array, each in greedy order, and
+returns every vertex's LRS (as an integer numerator and denominator), DPS
+and GAS as int64 arrays: one `cumsum` and one `searchsorted` give every
+bound, and a value-only DP (one rolling row, one max-plus step per distinct
+room weight) runs only where ceil(LRS) < GAS.  `solve_triple`,
+`lp_relax_solve` and `dp_solve` run the same scan on one vertex.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -99,12 +100,6 @@ class SolutionTriple:
     dps: int
     gas: int
 
-    def __post_init__(self):
-        if not self.lrs <= self.dps <= self.gas:
-            raise AssertionError(
-                f"bound sandwich violated: {self.lrs} <= {self.dps} <= {self.gas}"
-            )
-
 
 def _greedy(instance: ProblemInstance, order) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Greedy order of the room positions in `order`: by descending specific
@@ -118,20 +113,29 @@ def _greedy(instance: ProblemInstance, order) -> tuple[list[int], np.ndarray, np
     )
 
 
-def _scan(caps: np.ndarray, prices: np.ndarray, demand: int) -> tuple[int, int, Fraction, int]:
-    """Greedy scan of rooms in greedy order for a demand of at least 1, as
-    (break room b, capacity it uses, LRS, GAS).
+def _scan(caps: np.ndarray, prices: np.ndarray, starts, demands):
+    """Greedy scan of consecutive vertices, as int64 arrays (end, num, den, GAS).
 
-    Rooms 0..b-1 are taken whole and cover less than the demand; room b
-    covers the residual, so GAS is the cost of rooms 0..b and LRS replaces
-    room b's cost by its used share.
+    Vertex v's rooms start at starts[v] in `caps` and `prices` and run to the
+    next vertex, in greedy order; its demand, demands[v], is at most their
+    capacity.  Rooms starts[v]..end[v]-1 are taken: all but the last, the
+    break room b, are whole and cover less than the demand.  GAS is their
+    cost and LRS = num / den replaces room b's cost by its used share, so
+    den is b's capacity (1 when the demand is 0 and nothing is taken).  The
+    cumsum of all capacities is strictly increasing (each is at least 1), so
+    one searchsorted finds every break room.  Every product stays below
+    2^62, because `ProblemInstance` caps both totals at 2^31 - 1.
     """
-    covered = np.cumsum(caps)
-    b = int(np.searchsorted(covered, demand))
-    cap, price = int(caps[b]), int(prices[b])
-    used = demand - int(covered[b]) + cap
-    gas = int(prices[: b + 1].sum())
-    return b, used, Fraction((gas - price) * cap + price * used, cap), gas
+    covered = np.concatenate(([0], np.cumsum(caps)))
+    cost = np.concatenate(([0], np.cumsum(prices)))
+    base = covered[starts]
+    target = base + demands
+    end = np.searchsorted(covered, target)
+    gas = cost[end] - cost[starts]
+    den = np.where(target > base, caps[end - 1], 1)
+    # Room b leaves covered[end] - target of its capacity unused.
+    num = gas * den - prices[end - 1] * (covered[end] - target)
+    return end, num, den, gas
 
 
 def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
@@ -141,13 +145,13 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     fractional, contributing proctors * residual / capacity.
     """
     instance.require_feasible()
-    if instance.demand == 0:
-        return LPRelaxation(Fraction(0), None, ())
     order, caps, prices = _greedy(instance, range(instance.n_rooms))
-    b, used, lrs, _ = _scan(caps, prices, instance.demand)
-    last = order[b]
-    fractional = last if used < instance.capacities[last] else None
-    return LPRelaxation(lrs, fractional, tuple(order[: b + 1]))
+    end, num, den, _ = _scan(caps, prices, [0], [instance.demand])
+    end = int(end[0])
+    partial = int(caps[:end].sum()) > instance.demand
+    return LPRelaxation(
+        Fraction(int(num[0]), int(den[0])), order[end - 1] if partial else None, tuple(order[:end])
+    )
 
 
 def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
@@ -215,7 +219,7 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     if demand == 0:
         return (), 0
     _, greedy_caps, greedy_prices = _greedy(instance, range(n))
-    gas = _scan(greedy_caps, greedy_prices, demand)[3]
+    gas = int(_scan(greedy_caps, greedy_prices, [0], [demand])[3][0])
     by_cost, width = _dp_axis(n, instance.total_capacity, demand, gas)
 
     # Walking forward and leaving a room out whenever that stays optimal
@@ -282,37 +286,56 @@ def _dp_value(caps: np.ndarray, prices: np.ndarray, demand: int, gas: int) -> in
     return int(prices.sum()) - int(row[width])
 
 
-def _vertex_triple(caps: np.ndarray, prices: np.ndarray, demand: int) -> SolutionTriple:
-    """LRS, DPS and GAS of a feasible vertex whose rooms are in greedy order."""
-    if demand == 0:
-        return SolutionTriple(Fraction(0), 0, 0)
-    _, _, lrs, gas = _scan(caps, prices, demand)
-    # LRS <= DPS <= GAS with DPS an integer: the DP is needed only below GAS.
-    dps = gas if math.ceil(lrs) == gas else _dp_value(caps, prices, demand, gas)
-    return SolutionTriple(lrs, dps, gas)
+def _solve_flat(caps: np.ndarray, prices: np.ndarray, offsets, demands):
+    """(num, den, DPS, GAS) int64 arrays of consecutive vertices, LRS being
+    num / den: vertex v owns rooms offsets[v]..offsets[v+1]-1 of `caps` and
+    `prices`, in greedy order, and demands[v].
+
+    Raises AssertionError where LRS <= DPS <= GAS fails.
+    """
+    _, num, den, gas = _scan(caps, prices, offsets[:-1], demands)
+    dps = gas.copy()
+    # DPS is an integer in [LRS, GAS]: the DP is needed only where
+    # ceil(LRS) < GAS, that is where num <= (GAS - 1) * den.
+    for v in np.flatnonzero(num <= (gas - 1) * den).tolist():
+        rooms = slice(offsets[v], offsets[v + 1])
+        dps[v] = _dp_value(caps[rooms], prices[rooms], int(demands[v]), int(gas[v]))
+    broken = (num > dps * den) | (dps > gas)
+    if broken.any():
+        v = int(np.argmax(broken))
+        raise AssertionError(
+            f"bound sandwich violated: {Fraction(int(num[v]), int(den[v]))} <= {dps[v]} <= {gas[v]}"
+        )
+    return num, den, dps, gas
 
 
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:
-    """LRS, DPS and GAS of one instance."""
+    """LRS, DPS and GAS of one instance: the tree kernel on one vertex."""
     instance.require_feasible()
     _, caps, prices = _greedy(instance, range(instance.n_rooms))
-    return _vertex_triple(caps, prices, instance.demand)
+    num, den, dps, gas = _solve_flat(caps, prices, [0, len(caps)], [instance.demand])
+    return SolutionTriple(Fraction(int(num[0]), int(den[0])), int(dps[0]), int(gas[0]))
 
 
-def solve_vertices(instance: ProblemInstance, order, vertices) -> list[SolutionTriple]:
-    """solve_triple of every vertex, without building a sub-instance.
+def solve_vertices(instance: ProblemInstance, order, vertices):
+    """The tree kernel: (num, den, DPS, GAS) int64 arrays indexed like
+    `vertices`, LRS being num / den, without building a sub-instance.
 
     Each vertex has `rooms`, a subsequence of `order` (positions into
     `instance`), and a feasible `demand`.  Its greedy order sorts its rooms
     by specific weight, ties by place in the vertex and so in `order`.  One
     ranking of `order` by (weight rank, place) therefore gives every vertex
-    its greedy order by sorting the room ranks.
+    its greedy order, and one sort of the keys vertex * len(order) + greedy
+    place lays all vertices end to end for one scan.
     """
     greedy, caps, prices = _greedy(instance, order)
-    place = np.empty(instance.n_rooms, dtype=np.intp)
-    place[greedy] = np.arange(len(greedy))
-    triples = []
-    for vertex in vertices:
-        at = np.sort(place[list(vertex.rooms)])
-        triples.append(_vertex_triple(caps[at], prices[at], vertex.demand))
-    return triples
+    m = len(greedy)
+    place = np.empty(instance.n_rooms, dtype=np.int64)
+    place[greedy] = np.arange(m)
+    sizes = [len(vertex.rooms) for vertex in vertices]
+    offsets = list(accumulate(sizes, initial=0))
+    at = place[np.fromiter(chain.from_iterable(v.rooms for v in vertices), np.intp, offsets[-1])]
+    at += np.repeat(np.arange(len(sizes), dtype=np.int64) * m, sizes)
+    at.sort()
+    at %= m
+    return _solve_flat(caps[at], prices[at], offsets, [v.demand for v in vertices])

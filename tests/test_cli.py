@@ -411,11 +411,11 @@ class TestExperiment:
     )
     def test_bad_config_number_exits_2(self, tmp_path, capsys, line):
         config = tmp_path / "config.txt"
-        config.write_text(f"n_rooms=8\n{line}\n")
+        key = line.partition("=")[0]
+        config.write_text(f"{line}\n" if key == "n_rooms" else f"n_rooms=8\n{line}\n")
         out_dir = tmp_path / "r"
         code, _, err = run(capsys, "experiment", str(config), "--out-dir", str(out_dir))
         assert code == 2
-        key = line.partition("=")[0]
         expected = {
             "rounding=xyz": "error: rounding must be one of",
             "min_size=0": "error: min_size must be >= 1",
@@ -423,6 +423,16 @@ class TestExperiment:
             "sort=random\nsort_seed=-1": "error: sort seed must be >= 0",
         }.get(line, f"error: {key}: cannot parse")
         assert err.startswith(expected)
+        assert not out_dir.exists()
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        # The second value used to overwrite the first without a word.
+        config = tmp_path / "config.txt"
+        config.write_text("n_rooms=16\n# a comment\noccupancy=0.9\n n_rooms = 32\n")
+        out_dir = tmp_path / "r"
+        code, _, err = run(capsys, "experiment", str(config), "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: n_rooms is set twice, on lines 1 and 4")
         assert not out_dir.exists()
 
     def test_huge_room_count_exits_2(self, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The tree kernel (`solve_vertices`) against the cover path, vertex by vertex.
 
 The kernel never builds a sub-instance: it ranks the root's rooms once and
-solves each vertex on integer arrays.  Every triple it returns must equal
-what the cover path reports for `tree.subinstance(node)`: the LP value, the
-exact DP cost and the greedy cost.
+solves all vertices in one scan over flat integer arrays.  Every vertex's
+(LRS, DPS, GAS) must equal what the cover path reports for
+`tree.subinstance(node)`: the LP value, the exact DP cost and the greedy
+cost; and `solve_tree`'s per-height sums must equal those of the cover path.
 """
 
 import tracemalloc
@@ -25,7 +26,7 @@ from dcknap import (
     solve_tree,
 )
 from dcknap import solvers
-from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS
+from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, prune
 from dcknap.montecarlo import derive_seed, seeded_realization
 from dcknap.solvers import SORT_KEYS, solve_vertices
 
@@ -39,8 +40,9 @@ def cover_path_triples(tree):
 
 
 def kernel_triples(tree):
-    solved = solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
-    return [(t.lrs, t.dps, t.gas) for t in solved]
+    num, den, dps, gas = solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
+    assert len(num) == len(den) == len(dps) == len(gas) == len(tree.nodes)
+    return [(Fraction(int(a), int(b)), int(d), int(g)) for a, b, d, g in zip(num, den, dps, gas)]
 
 
 @st.composite
@@ -85,13 +87,54 @@ def test_kernel_matches_cover_path(tree):
     assert kernel_triples(tree) == cover_path_triples(tree)
 
 
-def test_reference_realization_every_vertex():
+def reference_series(tree):
+    """Per height, (LRS, DPS, GAS) summed with Fraction over the cover-path
+    triples of the leaves of prune(tree, h)."""
+    triples = cover_path_triples(tree)
+    return [
+        tuple(sum((triples[leaf.index][k] for leaf in prune(tree, h)), Fraction(0)) for k in range(3))
+        for h in range(tree.height + 1)
+    ]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(kernel_cases())
+def test_series_match_cover_path_sums(tree):
+    series = solve_tree(tree)
+    assert list(zip(series.lrs, series.dps, series.gas)) == reference_series(tree)
+    assert all(type(value) is Fraction for value in series.lrs)
+    assert all(type(value) is int for value in series.dps + series.gas)
+
+
+def reference_tree():
     # Realization 0 of the reference setting: 512 uniform rooms, occupancy
     # 0.9, rate 54, head-left by specific weight, min_size 4.
     realization = seeded_realization("uniform", 512, Fraction(9, 10), 2024, 0)
-    tree = build_tree(build_instance(realization, 54), "hlT", SortCriterion("specific_weight"), min_size=4)
+    return build_tree(build_instance(realization, 54), "hlT", SortCriterion("specific_weight"), min_size=4)
+
+
+def test_reference_realization_every_vertex():
+    tree = reference_tree()
     assert len(tree.nodes) == 255
     assert kernel_triples(tree) == cover_path_triples(tree)
+
+
+def _above_gas(caps, prices, demand, gas):
+    return gas + 1
+
+
+def _below_lrs(caps, prices, demand, gas):
+    _, num, den, _ = solvers._scan(caps, prices, [0], [demand])
+    return -(-int(num[0]) // int(den[0])) - 1  # ceil(LRS) - 1
+
+
+@pytest.mark.parametrize("wrong_dp", [_above_gas, _below_lrs])
+def test_sandwich_check_fires(wrong_dp, monkeypatch):
+    # The kernel looks _dp_value up as a module global on every unsettled vertex.
+    tree = reference_tree()
+    monkeypatch.setattr(solvers, "_dp_value", wrong_dp)
+    with pytest.raises(AssertionError, match="bound sandwich violated"):
+        solve_tree(tree)
 
 
 @pytest.mark.parametrize("key", SORT_KEYS)
@@ -137,7 +180,7 @@ def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
 def _dp_value_of(inst):
     """solvers._dp_value on the instance's greedy arrays and GAS."""
     _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
-    gas = solvers._scan(caps, prices, inst.demand)[3]
+    gas = int(solvers._scan(caps, prices, [0], [inst.demand])[3][0])
     return solvers._dp_value(caps, prices, inst.demand, gas)
 
 
@@ -184,7 +227,7 @@ def test_grouped_dp_temporary_is_capped():
     realization = seeded_realization("uniform", 3000, Fraction(1, 2), 2024, 0)
     inst = ProblemInstance(realization.capacities, (1,) * 3000, sum(realization.capacities) // 2)
     _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
-    gas = solvers._scan(caps, prices, inst.demand)[3]
+    gas = int(solvers._scan(caps, prices, [0], [inst.demand])[3][0])
     assert solvers._dp_axis(3000, inst.total_capacity, inst.demand, gas) == (True, 1138)
     tracemalloc.start()
     try:
