@@ -426,7 +426,7 @@ class TestExperiment:
         assert not out_dir.exists()
 
     def test_repeated_config_key_exits_2(self, tmp_path, capsys):
-        # The second value used to overwrite the first without a word.
+        # Refused, not resolved by letting the last value win.
         config = tmp_path / "config.txt"
         config.write_text("n_rooms=16\n# a comment\noccupancy=0.9\n n_rooms = 32\n")
         out_dir = tmp_path / "r"

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -344,3 +346,19 @@ def test_build_tree_dispatch_validation(r1_instance):
         build_tree(r1_instance, "blT", GAMMA, fraction=Fraction(1, 2))
     with pytest.raises(InvalidParameterError):
         build_tree(r1_instance, "ternary", GAMMA)
+
+
+@pytest.mark.parametrize("algorithm", TREE_ALGORITHMS)
+def test_tree_is_freed_without_a_gc_pass(r1_instance, algorithm):
+    # A tree in a reference cycle lives until the collector runs, so the
+    # trees of an experiment would pile up between passes.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree = build_tree(r1_instance, algorithm, GAMMA)
+        root = weakref.ref(tree.root)
+        del tree
+        assert root() is None
+    finally:
+        if enabled:
+            gc.enable()
