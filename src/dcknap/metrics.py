@@ -72,7 +72,7 @@ def metric_start_height(name: str) -> int:
 def _pct(numerator, denominator) -> Fraction:
     if denominator == 0:
         return Fraction(0)
-    return 100 * Fraction(numerator) / Fraction(denominator)
+    return Fraction(100 * numerator, denominator)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ room weight) runs only where ceil(LRS) < GAS.  `solve_triple`,
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -246,44 +245,111 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     return tuple(rooms), value
 
 
-def _dp_value(caps: np.ndarray, prices: np.ndarray, demand: int, gas: int) -> int:
-    """The optimum cost dp_solve finds, on the same axis, from one rolling
-    row instead of a table (the cover is not recovered).
+def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, gas, vertices) -> np.ndarray:
+    """The optimum cost dp_solve finds, on the same axis, of each vertex in
+    `vertices` (indices into the consecutive vertices of `_solve_flat`), from
+    rolling rows instead of tables (no cover is recovered).
 
     Rooms of equal weight w differ only in value, so any j of them weigh
     j * w and the best j are the j most valuable: a group of them is one
     max-plus step, row'[x] = max_j row[x - j * w] + S(j), where S(j) sums
     the group's j largest values.  At most width // w rooms of weight w fit,
-    and any split of a group into chunks is still exact, so each step's
-    temporary stays within `_GROUP_CELLS` cells (or two rows, if longer).
+    and any split of a group into chunks is still exact.
+
+    Vertices that share an axis and a width class (the bit length of
+    width + 1) are the rows of one batch, padded to its largest width W and
+    stepped once per distinct weight.  Both paddings are exact: every row is
+    nondecreasing, so columns past a vertex's own width never change a cell
+    at or below it, and a row with fewer rooms of weight w than W // w has
+    its S(j) held at its last value, as if by rooms of value 0.  A batch's
+    rows hold at most `_GROUP_CELLS` / 2 cells and each step's temporary at
+    most `_GROUP_CELLS` (or one and two rows, if longer).  `DP_MAX_CELLS` is
+    checked for every vertex before any row is allocated.
     """
-    by_cost, width = _dp_axis(len(caps), int(caps.sum()), demand, gas)
-    weights, values = (prices, caps) if by_cost else (caps, prices)
-    by_group = np.lexsort((-values, weights))  # by weight, then value descending
-    weights, values = weights[by_group].tolist(), values[by_group].tolist()
-    # row[x] = padded[width + x]; cells left of row[0] hold int32 min, which
-    # stays negative plus any S(j) (ProblemInstance caps totals at 2^31 - 1).
-    padded = np.full(2 * width + 1, np.iinfo(np.int32).min, dtype=np.int32)
-    row = padded[width:]
-    row[:] = 0
-    chunk = max(1, _GROUP_CELLS // (width + 1) - 1)
-    start = 0
-    while start < len(weights):
-        w = weights[start]
-        end = bisect_right(weights, w, start)
-        group = values[start : min(end, start + width // w)]
-        start = end
-        for i in range(0, len(group), chunk):
-            gains = list(accumulate(group[i : i + chunk], initial=0))  # S(0..k)
-            k = len(gains) - 1
-            # shifted[k - j][x] = row[x - j * w], so it pairs with gains[::-1].
-            shifted = np.ndarray(
-                (k + 1, width + 1), np.int32, padded, 4 * (width - k * w), (4 * w, 4)
-            )
-            np.max(shifted + np.array(gains[::-1], np.int32)[:, None], axis=0, out=row)
-    if by_cost:
-        return int(np.searchsorted(row, demand))
-    return int(prices.sum()) - int(row[width])
+    offsets = np.asarray(offsets)
+    starts, ends = offsets[vertices], offsets[vertices + 1]
+    sizes = ends - starts
+    cap_sum, price_sum = (np.concatenate(([0], np.cumsum(a))) for a in (caps, prices))
+    total_cap = cap_sum[ends] - cap_sum[starts]
+    demand, gas = np.asarray(demands)[vertices], gas[vertices]
+    budget = total_cap - demand
+    by_cost = gas <= budget
+    width = np.where(by_cost, gas, budget)
+    too_big = (sizes + 1) * (width + 1) > DP_MAX_CELLS
+    if too_big.any():
+        v = int(np.argmax(too_big))
+        _dp_axis(int(sizes[v]), int(total_cap[v]), int(demand[v]), int(gas[v]))  # raises
+
+    # frexp gives the bit length of width + 1.
+    cls = 2 * np.frexp(width + 1)[1] + by_cost
+    by_class = np.argsort(cls, kind="stable")
+    batches = []
+    for members in np.split(by_class, np.flatnonzero(np.diff(cls[by_class])) + 1):
+        rows = max(1, _GROUP_CELLS // 2 // (int(width[members].max()) + 1))
+        batches += [members[i : i + rows] for i in range(0, len(members), rows)]
+    batch_of, row_of = np.empty_like(sizes), np.empty_like(sizes)
+    for b, members in enumerate(batches):
+        batch_of[members] = b
+        row_of[members] = np.arange(len(members))
+    batch_width = np.array([width[members].max() for members in batches])
+
+    # Every DP room end to end, each vertex's in greedy order, reversed on the
+    # budget axis, so that rooms of equal weight come most valuable first.
+    vertex = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(len(vertex)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    room = starts[vertex] + np.where(by_cost[vertex], local, sizes[vertex] - 1 - local)
+    weight = np.where(by_cost[vertex], prices[room], caps[room])
+    value = np.where(by_cost[vertex], caps[room], prices[room])
+    # One stable sort groups them by (batch, weight) and keeps each vertex's run.
+    base = int(weight.max()) + 1
+    key = batch_of[vertex] * base + weight
+    at = np.argsort(key, kind="stable")
+    key, vertex, value = key[at], vertex[at], value[at]
+    first = np.flatnonzero(np.diff(key, prepend=-1) | np.diff(vertex, prepend=-1))
+    run = np.diff(np.append(first, len(key)))
+    j = np.arange(1, len(key) + 1) - np.repeat(first, run)  # place in the run
+    gains = np.cumsum(value)
+    gains -= np.repeat(gains[first] - value[first], run)  # S(j)
+    fits = j <= batch_width[key // base] // (key % base)
+    key, j, gains, row = key[fits], j[fits], gains[fits], row_of[vertex[fits]]
+    group = np.flatnonzero(np.diff(key, prepend=-1))
+    group_k = np.maximum.reduceat(j, group).tolist()
+    group_b, group_w = np.divmod(key[group], base)
+    group_w = group_w.tolist()
+    batch_groups = np.searchsorted(group_b, np.arange(len(batches) + 1)).tolist()
+    bounds = np.append(group, len(key)).tolist()
+
+    out = np.empty_like(sizes)
+    for b, members in enumerate(batches):
+        n, w_max = len(members), int(batch_width[b])
+        # Row r's column x is padded[r, w_max + x]; cells left of column 0
+        # hold int32 min, which stays negative plus any S(j) (ProblemInstance
+        # caps totals at 2^31 - 1).
+        padded = np.full((n, 2 * w_max + 1), np.iinfo(np.int32).min, dtype=np.int32)
+        rows = padded[:, w_max:]
+        rows[:] = 0
+        chunk = max(1, _GROUP_CELLS // (n * (w_max + 1)) - 1)
+        for g in range(batch_groups[b], batch_groups[b + 1]):
+            w, k = group_w[g], group_k[g]
+            span = slice(bounds[g], bounds[g + 1])
+            sums = np.zeros((k + 1, n), np.int32)  # sums[j, r]: S(j) of row r
+            sums[j[span], row[span]] = gains[span]
+            np.maximum.accumulate(sums, axis=0, out=sums)
+            for i in range(0, k, chunk):
+                step = sums[i : i + chunk + 1] - sums[i]  # S(0..c) of the chunk
+                c = len(step) - 1
+                # shifted[c - t, r, x] = rows[r, x - t * w], so it pairs with step[::-1].
+                shifted = np.ndarray(
+                    (c + 1, n, w_max + 1), np.int32, padded, 4 * (w_max - c * w),
+                    (4 * w, padded.strides[0], 4),
+                )
+                np.max(shifted + step[::-1, :, None], axis=0, out=rows)
+        if by_cost[members[0]]:
+            out[members] = (rows < demand[members, None]).sum(axis=1)
+        else:
+            total_p = price_sum[ends[members]] - price_sum[starts[members]]
+            out[members] = total_p - rows[np.arange(n), width[members]]
+    return out
 
 
 def _solve_flat(caps: np.ndarray, prices: np.ndarray, offsets, demands):
@@ -297,9 +363,9 @@ def _solve_flat(caps: np.ndarray, prices: np.ndarray, offsets, demands):
     dps = gas.copy()
     # DPS is an integer in [LRS, GAS]: the DP is needed only where
     # ceil(LRS) < GAS, that is where num <= (GAS - 1) * den.
-    for v in np.flatnonzero(num <= (gas - 1) * den).tolist():
-        rooms = slice(offsets[v], offsets[v + 1])
-        dps[v] = _dp_value(caps[rooms], prices[rooms], int(demands[v]), int(gas[v]))
+    unsettled = np.flatnonzero(num <= (gas - 1) * den)
+    if len(unsettled):
+        dps[unsettled] = _dp_values(caps, prices, offsets, demands, gas, unsettled)
     broken = (num > dps * den) | (dps > gas)
     if broken.any():
         v = int(np.argmax(broken))

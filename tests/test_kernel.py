@@ -10,6 +10,7 @@ cost; and `solve_tree`'s per-height sums must equal those of the cover path.
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,20 +120,20 @@ def test_reference_realization_every_vertex():
     assert kernel_triples(tree) == cover_path_triples(tree)
 
 
-def _above_gas(caps, prices, demand, gas):
-    return gas + 1
+def _above_gas(caps, prices, offsets, demands, gas, vertices):
+    return gas[vertices] + 1
 
 
-def _below_lrs(caps, prices, demand, gas):
-    _, num, den, _ = solvers._scan(caps, prices, [0], [demand])
-    return -(-int(num[0]) // int(den[0])) - 1  # ceil(LRS) - 1
+def _below_lrs(caps, prices, offsets, demands, gas, vertices):
+    _, num, den, _ = solvers._scan(caps, prices, offsets[:-1], demands)
+    return -(-num[vertices] // den[vertices]) - 1  # ceil(LRS) - 1
 
 
 @pytest.mark.parametrize("wrong_dp", [_above_gas, _below_lrs])
 def test_sandwich_check_fires(wrong_dp, monkeypatch):
-    # The kernel looks _dp_value up as a module global on every unsettled vertex.
+    # The kernel looks _dp_values up as a module global, once per tree.
     tree = reference_tree()
-    monkeypatch.setattr(solvers, "_dp_value", wrong_dp)
+    monkeypatch.setattr(solvers, "_dp_values", wrong_dp)
     with pytest.raises(AssertionError, match="bound sandwich violated"):
         solve_tree(tree)
 
@@ -177,11 +178,11 @@ def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
     assert inst.weight_ranks is inst.weight_ranks
 
 
-def _dp_value_of(inst):
-    """solvers._dp_value on the instance's greedy arrays and GAS."""
+def _dp_values_of(inst):
+    """solvers._dp_values on the instance as one vertex: its greedy arrays and GAS."""
     _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
-    gas = int(solvers._scan(caps, prices, [0], [inst.demand])[3][0])
-    return solvers._dp_value(caps, prices, inst.demand, gas)
+    gas = solvers._scan(caps, prices, [0], [inst.demand])[3]
+    return int(solvers._dp_values(caps, prices, [0, inst.n_rooms], [inst.demand], gas, np.array([0]))[0])
 
 
 @st.composite
@@ -212,12 +213,12 @@ def grouped_instances(draw):
 @given(grouped_instances())
 def test_grouped_dp_matches_dp_solve(inst):
     expected = dp_solve(inst)[1]
-    assert _dp_value_of(inst) == expected
+    assert _dp_values_of(inst) == expected
     # Small step caps split groups into chunks of one room or a few.
     for cells in (1, 3, 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_GROUP_CELLS", cells)
-            assert _dp_value_of(inst) == expected
+            assert _dp_values_of(inst) == expected
 
 
 def test_grouped_dp_temporary_is_capped():
@@ -227,13 +228,77 @@ def test_grouped_dp_temporary_is_capped():
     realization = seeded_realization("uniform", 3000, Fraction(1, 2), 2024, 0)
     inst = ProblemInstance(realization.capacities, (1,) * 3000, sum(realization.capacities) // 2)
     _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
-    gas = int(solvers._scan(caps, prices, [0], [inst.demand])[3][0])
-    assert solvers._dp_axis(3000, inst.total_capacity, inst.demand, gas) == (True, 1138)
+    gas = solvers._scan(caps, prices, [0], [inst.demand])[3]
+    assert solvers._dp_axis(3000, inst.total_capacity, inst.demand, int(gas[0])) == (True, 1138)
     tracemalloc.start()
     try:
-        value = solvers._dp_value(caps, prices, inst.demand, gas)
+        value = solvers._dp_values(caps, prices, [0, 3000], [inst.demand], gas, np.array([0]))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert value == dp_solve(inst)[1]
     assert peak < 1 << 20
+
+
+def batched_dps(tree, cells=None):
+    """{vertex index: DPS} of the vertices the kernel sends to the batched DP,
+    with its step cap set to `cells` if given."""
+    found = {}
+    batched = solvers._dp_values
+
+    def spy(caps, prices, offsets, demands, gas, vertices):
+        dps = batched(caps, prices, offsets, demands, gas, vertices)
+        found.update(zip(vertices.tolist(), dps.tolist()))
+        return dps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_dp_values", spy)
+        if cells is not None:
+            mp.setattr(solvers, "_GROUP_CELLS", cells)
+        solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
+    return found
+
+
+@st.composite
+def dp_trees(draw):
+    """Whole trees of up to 150 rooms: rated rooms at any occupancy, or rooms
+    of a few capacities, each costing nearly its capacity in proctors, at
+    occupancy 0.9 or more, where the budget axis is the shorter one and
+    rooms of equal weight differ in value."""
+    n = draw(st.integers(1, 150))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+        caps = draw(st.lists(st.sampled_from(sizes), min_size=n, max_size=n))
+        proctors = [c - draw(st.integers(0, c // 4)) for c in caps]
+        demand = draw(st.integers(-(-9 * sum(caps) // 10), sum(caps)))
+    else:
+        caps = draw(st.lists(st.integers(1, 120), min_size=n, max_size=n))
+        rate = draw(st.sampled_from((2, 54)) | st.integers(1, 120))
+        proctors, demand = proctors_from_rate(caps, rate), draw(st.integers(0, sum(caps)))
+    key = draw(st.sampled_from(SORT_KEYS))
+    sort = SortCriterion(key, seed=draw(st.integers(0, 2**32)) if key == "random" else None)
+    return build_tree(
+        ProblemInstance(caps, proctors, demand), draw(st.sampled_from(TREE_ALGORITHMS)), sort,
+        min_size=draw(st.sampled_from((1, 2, 4, 8))),
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(dp_trees(), st.sampled_from((None, 200, 40, 3, 1)))
+def test_batched_dp_matches_dp_solve_on_every_vertex(tree, cells):
+    # Small step caps split batches down to one vertex and chunks to one room.
+    found = batched_dps(tree, cells)
+    assert found == {v: dp_solve(tree.subinstance(tree.nodes[v]))[1] for v in found}
+
+
+def test_batched_dp_reaches_both_axes():
+    # Realization 0 of the reference setting on 64 rooms, at rate 54 and at
+    # rate 1: at rate 1 the budget, a tenth of the capacity, is the smaller axis.
+    realization = seeded_realization("uniform", 64, Fraction(9, 10), 2024, 0)
+    for rate, by_cost in ((54, True), (1, False)):
+        tree = build_tree(build_instance(realization, rate), "hlT", SortCriterion("specific_weight"), min_size=4)
+        found = batched_dps(tree)
+        subs = [tree.subinstance(tree.nodes[v]) for v in found]
+        assert len(subs) >= 10  # of 31 vertices
+        assert {greedy_solve(sub)[1] <= sub.total_capacity - sub.demand for sub in subs} == {by_cost}
+        assert list(found.values()) == [dp_solve(sub)[1] for sub in subs]
