@@ -16,9 +16,11 @@ cost axis of every DP.  `solve_vertices`, the tree kernel, lays a whole
 tree's vertices end to end in one flat array, each in greedy order, and
 returns every vertex's LRS (as an integer numerator and denominator), DPS
 and GAS as int64 arrays: one `cumsum` and one `searchsorted` give every
-bound, and a value-only DP (one rolling row, one max-plus step per distinct
-room weight) runs only where ceil(LRS) < GAS.  `solve_triple`,
-`lp_relax_solve` and `dp_solve` run the same scan on one vertex.
+bound, and one value-only DP per tree, `_dp_values`, runs only where
+ceil(LRS) < GAS: vertices of one axis and width class roll their rows as
+one matrix, one max-plus step per distinct room weight per batch.
+`solve_triple`, `lp_relax_solve` and `dp_solve` run the same scan on one
+vertex.
 """
 
 from __future__ import annotations
