@@ -7,12 +7,21 @@ list into the left child; the balanced tree (blT) puts the even positions
 left and the odd positions right.  `TreeParams` checks the parameters and
 owns the one default: an hlT tree without a head fraction splits at 1/2.
 Vertices are numbered in left pre-order, root = 0.
+
+A tree is integer arrays: every vertex is a strided slice of the root's
+sorted room order (a run for hlT, a residue class for blT), grown one level
+at a time, with its demand, height and children.  `DCTree.nodes` views the
+same tree as DCNode objects for display and tests; experiments never build
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidParameterError, InvalidPartitionError
 from .model import ProblemInstance
@@ -27,15 +36,18 @@ TREE_ALGORITHMS = (HEAD_LEFT, BALANCED)
 
 
 def split_demand(
-    parent_demand: int,
-    left_caps_sum: int,
-    total_caps_sum: int,
+    parent_demand,
+    left_caps_sum,
+    total_caps_sum,
     rounding: str = "ceil",
-) -> tuple[int, int]:
+):
     """Split a demand proportionally to the left side's capacity share.
 
     The left child gets round(parent_demand * left_caps_sum / total_caps_sum)
-    with the requested rounding; the right child gets the remainder.
+    with the requested rounding; the right child gets the remainder.  The
+    arguments are ints, or int64 arrays of equal length for one split per
+    entry (all products stay below 2^62, see `ProblemInstance`); the two
+    demands come back in the same form.
 
     Neither child is ever handed more demand than its rooms hold.  With
     D = parent_demand <= T = total_caps_sum, L = left_caps_sum and
@@ -50,14 +62,18 @@ def split_demand(
     """
     if rounding not in ROUNDING_MODES:
         raise InvalidParameterError(f"rounding must be one of {ROUNDING_MODES}")
-    if not 0 < left_caps_sum < total_caps_sum:
+    demand, left, total = (np.asarray(a) for a in (parent_demand, left_caps_sum, total_caps_sum))
+    degenerate = (left <= 0) | (left >= total)
+    bad = degenerate | (demand > total)
+    if bad.any():
+        i = bad.argmax()  # the first bad split raises what its scalar call raises
+        if degenerate.flat[i]:
+            raise InvalidPartitionError(
+                f"degenerate partition: left capacity {left.flat[i]} "
+                f"of total {total.flat[i]}"
+            )
         raise InvalidPartitionError(
-            f"degenerate partition: left capacity {left_caps_sum} "
-            f"of total {total_caps_sum}"
-        )
-    if parent_demand > total_caps_sum:
-        raise InvalidPartitionError(
-            f"demand {parent_demand} exceeds the partitioned capacity {total_caps_sum}"
+            f"demand {demand.flat[i]} exceeds the partitioned capacity {total.flat[i]}"
         )
     num = parent_demand * left_caps_sum
     if rounding == "ceil":
@@ -119,12 +135,53 @@ class DCNode:
         return self.left is None
 
 
-@dataclass
+@dataclass(eq=False)
 class DCTree:
+    """A decomposition tree as int64 arrays indexed by pre-order vertex
+    number, root = 0.
+
+    Vertex v holds the rooms order[start[v] + step[v] * i], i < size[v]: an
+    hlT vertex is a run of the root order (step 1), a blT vertex at depth d
+    one residue class modulo step 2^d.  An inner vertex's left child is
+    v + 1 and its right child right[v]; a leaf has left[v] = right[v] = -1.
+    `nodes` and `root` give the same tree as DCNode objects, built on first
+    use.
+    """
+
     instance: ProblemInstance
-    root: DCNode
-    nodes: list[DCNode]  # pre-order
+    order: np.ndarray  # room positions of `instance` in the root's sorted order
+    start: np.ndarray
+    step: np.ndarray
+    size: np.ndarray
+    demand: np.ndarray
+    heights: np.ndarray  # of each vertex
+    left: np.ndarray
+    right: np.ndarray
     height: int  # of the deepest vertex
+
+    @cached_property
+    def nodes(self) -> list[DCNode]:
+        """The vertices as DCNode objects, in pre-order."""
+        order = self.order.tolist()
+        nodes: list[DCNode] = [None] * len(self.size)
+        columns = (self.start, self.step, self.size, self.demand, self.heights, self.left, self.right)
+        # Children come after their parent in pre-order, so build backwards.
+        for v, (start, step, size, demand, height, left, right) in reversed(
+            list(enumerate(zip(*(column.tolist() for column in columns))))
+        ):
+            nodes[v] = DCNode(
+                rooms=tuple(order[start : start + step * (size - 1) + 1 : step]),
+                demand=demand,
+                height=height,
+                index=v,
+                left=nodes[left] if left >= 0 else None,
+                right=nodes[right] if right >= 0 else None,
+            )
+        return nodes
+
+    @cached_property
+    def root(self) -> DCNode:
+        return self.nodes[0]
 
     def subinstance(self, node: DCNode) -> ProblemInstance:
         """The covering problem restricted to one node."""
@@ -149,42 +206,74 @@ def build_tree(
     The room list is sorted once at the root by `sort`; children inherit
     the order.  hlT puts the leading floor(fraction * size) rooms left
     (`fraction` None means 1/2, see `TreeParams`); blT takes no fraction and
-    puts the even positions left, the odd ones right.  Recursion stops once
-    a list has at most `min_size` rooms or a child would come out empty.
+    puts the even positions left, the odd ones right.  A vertex stays a leaf
+    once it has at most `min_size` rooms or a child would come out empty.
+
+    The tree grows one level at a time on arrays.  A level's children are
+    laid out as the left children of its splitting vertices, then their
+    right children.  Their capacity sums come from prefix sums of the
+    sorted capacities (hlT) or from one sum per residue class (blT).  The
+    levels are then numbered in pre-order from their subtree sizes.
     """
     params = TreeParams(algorithm, sort, fraction, min_size, rounding)
     instance.require_feasible()
-    caps = instance.capacities
-    nodes: list[DCNode] = []
-
-    def splitter(rooms):
+    order = np.array(sort.order(instance), dtype=np.int64)
+    caps = np.array(instance.capacities, dtype=np.int64)[order]  # by place in `order`
+    prefix = np.append(0, np.cumsum(caps))
+    padded = np.zeros(1 << (len(caps) - 1).bit_length(), np.int64)  # to a power of 2
+    padded[: len(caps)] = caps
+    # A level's vertices as the rows start, step, size, demand, capacity.
+    level = np.array([[0], [1], [len(order)], [instance.demand], [caps.sum()]], dtype=np.int64)
+    levels, splits = [], []
+    while True:
+        levels.append(level)
+        size = level[2]
         if params.algorithm == HEAD_LEFT:
-            f = params.fraction
-            size = (f.numerator * len(rooms)) // f.denominator
-            return rooms[:size], rooms[size:]
-        return rooms[0::2], rooms[1::2]
+            left_size = size * params.fraction.numerator // params.fraction.denominator
+        else:
+            left_size = (size + 1) // 2
+        split = (size > params.min_size) & (left_size > 0) & (left_size < size)
+        if not split.any():
+            break
+        splits.append(split)
+        start, step, size, demand, capacity = level[:, split]
+        left_size = left_size[split]
+        if params.algorithm == HEAD_LEFT:
+            right_start = start + left_size
+            left_capacity = prefix[right_start] - prefix[start]
+        else:
+            right_start, step = start + step, 2 * step
+            # A blT level's children are the residue classes modulo one step.
+            left_capacity = padded.reshape(-1, int(step[0])).sum(axis=0)[start]
+        d_left, d_right = split_demand(demand, left_capacity, capacity, params.rounding)
+        level = np.array([
+            (start, right_start), (step, step), (left_size, size - left_size),
+            (d_left, d_right), (left_capacity, capacity - left_capacity),
+        ]).reshape(5, -1)
 
-    def grow(rooms, demand, height):
-        node = DCNode(rooms=tuple(rooms), demand=demand, height=height, index=len(nodes))
-        nodes.append(node)
-        if len(rooms) <= params.min_size:
-            return node
-        left_rooms, right_rooms = splitter(rooms)
-        if not left_rooms or not right_rooms:
-            return node
-        left_caps = sum(caps[i] for i in left_rooms)
-        right_caps = sum(caps[i] for i in right_rooms)
-        d_left, d_right = split_demand(
-            demand, left_caps, left_caps + right_caps, params.rounding
-        )
-        node.left = grow(left_rooms, d_left, height + 1)
-        node.right = grow(right_rooms, d_right, height + 1)
-        return node
-
-    root = grow(sort.order(instance), instance.demand, 0)
-    del grow  # the recursive closure is a cycle that would hold `nodes` until a gc pass
-    height = max(node.height for node in nodes)
-    return DCTree(instance=instance, root=root, nodes=nodes, height=height)
+    # Subtree sizes bottom-up, then pre-order numbers top-down: a left child
+    # follows its parent, a right child follows its left sibling's subtree.
+    subtree = [np.ones(levels[-1].shape[1], np.int64)]
+    for split in reversed(splits):
+        sizes = np.ones(len(split), np.int64)
+        sizes[split] += subtree[0].reshape(2, -1).sum(axis=0)
+        subtree.insert(0, sizes)
+    count = int(subtree[0][0])
+    left, right = np.full(count, -1), np.full(count, -1)
+    number = [np.zeros(1, np.int64)]
+    for split, below in zip(splits, subtree[1:]):
+        parent = number[-1][split]
+        left[parent] = parent + 1
+        right[parent] = parent + 1 + below[: len(parent)]
+        number.append(np.concatenate((left[parent], right[parent])))
+    columns = np.concatenate(levels, axis=1)
+    columns[4] = np.repeat(np.arange(len(levels)), [level.shape[1] for level in levels])
+    vertices = np.empty_like(columns)
+    vertices[:, np.concatenate(number)] = columns
+    start, step, size, demand, heights = vertices
+    return DCTree(
+        instance, order, start, step, size, demand, heights, left, right, height=len(levels) - 1
+    )
 
 
 def prune(tree: DCTree, h: int) -> list[DCNode]:

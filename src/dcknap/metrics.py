@@ -15,8 +15,9 @@ and the bound gaps at each height are
 
 Everything is exact rational arithmetic; rendering rounds half-up to two
 decimals only at the edge.  `solve_tree` takes every vertex's bounds from
-the `solvers` kernel as integer arrays and sums DPS and GAS as ints and LRS
-per distinct denominator, so each height builds one Fraction.
+the `solvers` kernel as integer arrays and sums them per height on arrays:
+DPS and GAS as ints and LRS per distinct denominator, so each height builds
+one Fraction.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dctree import DCTree, prune
+import numpy as np
+
+from .dctree import DCTree
+from .dctree import prune  # noqa: F401  a binding perfbench/spans.py traces
 from .errors import InvalidParameterError
 from .rounding import as_fraction
 from .solvers import solve_vertices
@@ -107,34 +111,41 @@ class EfficiencySeries:
         return getattr(self, field)
 
 
-def _fraction_sum(pairs) -> Fraction:
-    """Exact sum of (numerator, denominator) pairs as one Fraction: the
-    numerators are summed per distinct denominator, then over their lcm."""
-    by_den = {}
-    for num, den in pairs:
-        by_den[den] = by_den.get(den, 0) + num
-    common = math.lcm(*by_den)
-    return Fraction(sum(num * (common // den) for den, num in by_den.items()), common)
+def _fraction_sum(nums, dens) -> Fraction:
+    """Exact sum of nums[i] / dens[i], the dens distinct, as one Fraction over
+    the lcm of the denominators of the nonzero terms."""
+    terms = [(num, den) for num, den in zip(nums, dens) if num]
+    common = math.lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (common // den) for num, den in terms), common)
 
 
 def solve_tree(tree: DCTree) -> EfficiencySeries:
     """Solve every node of the tree and compute the per-height series.
 
     All vertices are solved in one scan over flat arrays (`solve_vertices`),
-    with no sub-instance per vertex.
+    with no sub-instance per vertex.  At height h a vertex counts when it
+    sits at h or is a leaf above h, so each series is the per-height sums of
+    inner vertices plus the running per-height sums of leaves.  LRS
+    numerators are summed per (height, distinct denominator) in int64: for
+    one denominator d the numerators of any set of disjoint vertices total
+    at most d * (total proctors) < 2^62.
     """
-    num, den, dps_v, gas_v = (
-        a.tolist() for a in solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
+    num, den, dps_v, gas_v = solve_vertices(
+        tree.instance, tree.order, tree.start, tree.step, tree.size, tree.demand
     )
+    dens, den_at = np.unique(den, return_inverse=True)
+    # sums[leaf, h, column]: LRS numerators per denominator, then DPS and GAS.
+    sums = np.zeros((2, tree.height + 1, len(dens) + 2), np.int64)
+    at = ((tree.left < 0).astype(np.intp), tree.heights)
+    np.add.at(sums, (*at, den_at), num)
+    np.add.at(sums, (*at, len(dens)), dps_v)
+    np.add.at(sums, (*at, len(dens) + 1), gas_v)
+    sums = sums[0] + np.cumsum(sums[1], axis=0)
 
     heights = range(tree.height + 1)
-    lrs, dps, gas = [], [], []
-    for h in heights:
-        leaves = [leaf.index for leaf in prune(tree, h)]
-        lrs.append(_fraction_sum((num[i], den[i]) for i in leaves))
-        dps.append(sum(dps_v[i] for i in leaves))
-        gas.append(sum(gas_v[i] for i in leaves))
-
+    dens = dens.tolist()
+    lrs = [_fraction_sum(row, dens) for row in sums[:, :-2].tolist()]
+    dps, gas = sums[:, -2].tolist(), sums[:, -1].tolist()
     columns = {
         "LRS": tuple(lrs),
         "DPS": tuple(dps),

@@ -12,8 +12,9 @@ meets the demand:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .errors import InfeasibleError, InvalidParameterError
 
@@ -69,13 +70,30 @@ class ProblemInstance:
     @cached_property
     def weight_ranks(self) -> tuple[int, ...]:
         """Dense rank of each room's specific weight capacity / proctors, 0 for
-        the largest; rooms with equal ratios share a rank.  Exact, with one
-        Fraction per distinct (capacity, proctors) pair; computed once."""
-        pairs = list(zip(self.capacities, self.proctors))
-        weight = {pair: Fraction(*pair) for pair in set(pairs)}
-        rank = {w: r for r, w in enumerate(sorted(set(weight.values()), reverse=True))}
-        pair_rank = {pair: rank[w] for pair, w in weight.items()}
-        return tuple(pair_rank[pair] for pair in pairs)
+        the largest; rooms with equal ratios share a rank.  Computed once.
+
+        Exact on integers: each pair is reduced by its gcd, so equal ratios
+        become one distinct pair (c << 31 | p, both below 2^31), and the
+        distinct ratios are ordered by their float quotient.  Correctly
+        rounded division never inverts an exact order; where one float covers
+        several ratios, those are ordered by c1 * p2 against c2 * p1 (< 2^62).
+        """
+        c, p = np.array(self.capacities, np.int64), np.array(self.proctors, np.int64)
+        g = np.gcd(c, p)
+        pairs, room_pair = np.unique((c // g) << 31 | p // g, return_inverse=True)
+        c, p = pairs >> 31, pairs & (2**31 - 1)
+        ratio = c / p
+        order = np.argsort(-ratio)
+        edges = np.flatnonzero(np.diff(ratio[order])) + 1
+        lo, hi = np.append(0, edges), np.append(edges, len(order))
+        for a, b in zip(lo[hi - lo > 1].tolist(), hi[hi - lo > 1].tolist()):
+            tie = order[a:b]
+            # Place each tied ratio by how many of the others are larger.
+            larger = c[tie, None] * p[tie] < c[tie] * p[tie, None]
+            order[a:b] = tie[np.argsort(larger.sum(axis=1))]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return tuple(rank[room_pair].tolist())
 
     def is_feasible(self) -> bool:
         return self.total_capacity >= self.demand

@@ -12,13 +12,15 @@ Specific weights are compared by the instance's exact rank,
 `ProblemInstance.weight_ranks`, computed once per instance and read by both
 the `specific_weight` sort and `_greedy`, the one greedy order.  LRS and
 GAS come from one cumulative-sum scan in that order, and GAS bounds the
-cost axis of every DP.  `solve_vertices`, the tree kernel, lays a whole
-tree's vertices end to end in one flat array, each in greedy order, and
-returns every vertex's LRS (as an integer numerator and denominator), DPS
-and GAS as int64 arrays: one `cumsum` and one `searchsorted` give every
-bound, and one value-only DP per tree, `_dp_values`, runs only where
-ceil(LRS) < GAS: vertices of one axis and width class roll their rows as
-one matrix, one max-plus step per distinct room weight per batch.
+cost axis of every DP.  `solve_vertices`, the tree kernel, gathers a
+tree's vertices from their strided slices of its root order, lays them end
+to end in one flat array, each in greedy order, and returns every
+vertex's LRS (as an integer numerator and denominator), DPS and GAS as
+int64 arrays: one `cumsum` and one `searchsorted` give every bound, and one
+value-only DP per tree, `_dp_values`, runs only where ceil(LRS) < GAS:
+vertices of one axis and width class roll their rows as one matrix, one
+max-plus step per distinct room weight per batch, the largest group of
+each batch a gather.
 `solve_triple`, `lp_relax_solve` and `dp_solve` run the same scan on one
 vertex.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -74,10 +75,10 @@ class SortCriterion:
         if self.key == "specific_weight":
             keys = instance.weight_ranks
         elif self.key == "proctors":
-            keys = [-p for p in instance.proctors]
+            keys = np.negative(instance.proctors)
         else:
-            keys = [-c for c in instance.capacities]
-        return sorted(range(n), key=keys.__getitem__)  # stable: ties by position
+            keys = np.negative(instance.capacities)
+        return np.argsort(keys, kind="stable").tolist()  # stable: ties by position
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,12 @@ class SolutionTriple:
     gas: int
 
 
-def _greedy(instance: ProblemInstance, order) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _greedy(instance: ProblemInstance, order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy order of the room positions in `order`: by descending specific
-    weight, ties by place in `order`; as (positions, capacities, proctors),
-    the last two int64 arrays."""
-    positions = sorted(order, key=instance.weight_ranks.__getitem__)  # stable: ties by place
+    weight, ties by place in `order`; as int64 arrays (positions, capacities,
+    proctors)."""
+    order = np.asarray(order, dtype=np.int64)
+    positions = order[np.argsort(np.asarray(instance.weight_ranks)[order], kind="stable")]
     return (
         positions,
         np.array(instance.capacities, dtype=np.int64)[positions],
@@ -150,8 +152,9 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     end, num, den, _ = _scan(caps, prices, [0], [instance.demand])
     end = int(end[0])
     partial = int(caps[:end].sum()) > instance.demand
+    order = order[:end].tolist()
     return LPRelaxation(
-        Fraction(int(num[0]), int(den[0])), order[end - 1] if partial else None, tuple(order[:end])
+        Fraction(int(num[0]), int(den[0])), order[-1] if partial else None, tuple(order)
     )
 
 
@@ -315,11 +318,13 @@ def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, gas, vert
     fits = j <= batch_width[key // base] // (key % base)
     key, j, gains, row = key[fits], j[fits], gains[fits], row_of[vertex[fits]]
     group = np.flatnonzero(np.diff(key, prepend=-1))
-    group_k = np.maximum.reduceat(j, group).tolist()
+    group_k = np.maximum.reduceat(j, group)
     group_b, group_w = np.divmod(key[group], base)
-    group_w = group_w.tolist()
     batch_groups = np.searchsorted(group_b, np.arange(len(batches) + 1)).tolist()
-    bounds = np.append(group, len(key)).tolist()
+    # Each batch's groups, the one of most rooms first: the steps commute.
+    first = np.lexsort((-group_k, group_b))
+    lo, hi = group[first].tolist(), np.append(group[1:], len(key))[first].tolist()
+    group_w, group_k = group_w[first].tolist(), group_k[first].tolist()
 
     out = np.empty_like(sizes)
     for b, members in enumerate(batches):
@@ -333,10 +338,15 @@ def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, gas, vert
         chunk = max(1, _GROUP_CELLS // (n * (w_max + 1)) - 1)
         for g in range(batch_groups[b], batch_groups[b + 1]):
             w, k = group_w[g], group_k[g]
-            span = slice(bounds[g], bounds[g + 1])
+            span = slice(lo[g], hi[g])
             sums = np.zeros((k + 1, n), np.int32)  # sums[j, r]: S(j) of row r
             sums[j[span], row[span]] = gains[span]
             np.maximum.accumulate(sums, axis=0, out=sums)
+            if g == batch_groups[b]:
+                # From all-zero rows the best of at most x // w rooms is
+                # S(min(k, x // w)), because S is nondecreasing.
+                rows[:] = sums[np.minimum(k, np.arange(w_max + 1) // w)].T
+                continue
             for i in range(0, k, chunk):
                 step = sums[i : i + chunk + 1] - sums[i]  # S(0..c) of the chunk
                 c = len(step) - 1
@@ -385,25 +395,28 @@ def solve_triple(instance: ProblemInstance) -> SolutionTriple:
     return SolutionTriple(Fraction(int(num[0]), int(den[0])), int(dps[0]), int(gas[0]))
 
 
-def solve_vertices(instance: ProblemInstance, order, vertices):
-    """The tree kernel: (num, den, DPS, GAS) int64 arrays indexed like
-    `vertices`, LRS being num / den, without building a sub-instance.
+def solve_vertices(instance: ProblemInstance, order, start, step, size, demand):
+    """The tree kernel: (num, den, DPS, GAS) int64 arrays indexed like the
+    vertex arrays, LRS being num / den, without building a sub-instance.
 
-    Each vertex has `rooms`, a subsequence of `order` (positions into
-    `instance`), and a feasible `demand`.  Its greedy order sorts its rooms
-    by specific weight, ties by place in the vertex and so in `order`.  One
-    ranking of `order` by (weight rank, place) therefore gives every vertex
-    its greedy order, and one sort of the keys vertex * len(order) + greedy
-    place lays all vertices end to end for one scan.
+    `order` holds room positions of `instance`; vertex v has the rooms
+    order[start[v] + step[v] * i], i < size[v], and a feasible demand[v].
+    Its greedy order sorts its rooms by specific weight, ties by place in
+    the vertex and so in `order`.  One ranking of `order` by (weight rank,
+    place) therefore gives every vertex its greedy order, and one sort of
+    the keys vertex * len(order) + greedy place lays all vertices end to end
+    for one scan.
     """
     greedy, caps, prices = _greedy(instance, order)
     m = len(greedy)
     place = np.empty(instance.n_rooms, dtype=np.int64)
     place[greedy] = np.arange(m)
-    sizes = [len(vertex.rooms) for vertex in vertices]
-    offsets = list(accumulate(sizes, initial=0))
-    at = place[np.fromiter(chain.from_iterable(v.rooms for v in vertices), np.intp, offsets[-1])]
-    at += np.repeat(np.arange(len(sizes), dtype=np.int64) * m, sizes)
+    size = np.asarray(size)
+    first = np.cumsum(size) - size
+    local = np.arange(int(size.sum())) - np.repeat(first, size)  # place in the vertex
+    at = place[np.asarray(order)[np.repeat(start, size) + np.repeat(step, size) * local]]
+    at += np.repeat(np.arange(len(size), dtype=np.int64) * m, size)
     at.sort()
     at %= m
-    return _solve_flat(caps[at], prices[at], offsets, [v.demand for v in vertices])
+    offsets = np.append(0, np.cumsum(size))
+    return _solve_flat(caps[at], prices[at], offsets, np.asarray(demand))

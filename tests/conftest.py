@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcknap import ProblemInstance, SizeLimitError, proctors_from_rate
+from dcknap import DCNode, ProblemInstance, SizeLimitError, proctors_from_rate, split_demand
+from dcknap.dctree import HEAD_LEFT, TreeParams
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -80,6 +81,37 @@ def brute_force_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
         if best is None or entry[:2] < best[:2]:
             best = entry
     return best[2], best[0]
+
+
+def reference_nodes(instance, algorithm, sort, fraction=None, min_size=2, rounding="ceil"):
+    """The vertices `build_tree` must give, as DCNodes in pre-order, grown by
+    recursion over room lists: one DCNode and one split per vertex."""
+    params = TreeParams(algorithm, sort, fraction, min_size, rounding)
+    caps = instance.capacities
+    nodes: list[DCNode] = []
+
+    def grow(rooms, demand, height):
+        node = DCNode(rooms=tuple(rooms), demand=demand, height=height, index=len(nodes))
+        nodes.append(node)
+        if len(rooms) <= params.min_size:
+            return node
+        if params.algorithm == HEAD_LEFT:
+            f = params.fraction
+            size = (f.numerator * len(rooms)) // f.denominator
+            left_rooms, right_rooms = rooms[:size], rooms[size:]
+        else:
+            left_rooms, right_rooms = rooms[0::2], rooms[1::2]
+        if not left_rooms or not right_rooms:
+            return node
+        left_caps = sum(caps[i] for i in left_rooms)
+        right_caps = sum(caps[i] for i in right_rooms)
+        d_left, d_right = split_demand(demand, left_caps, left_caps + right_caps, params.rounding)
+        node.left = grow(left_rooms, d_left, height + 1)
+        node.right = grow(right_rooms, d_right, height + 1)
+        return node
+
+    grow(sort.order(instance), instance.demand, 0)
+    return nodes
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

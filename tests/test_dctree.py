@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -22,7 +23,7 @@ from dcknap import (
 )
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, TreeParams
 from dcknap.solvers import SORT_KEYS
-from conftest import random_instance
+from conftest import random_instance, reference_nodes
 
 GAMMA = SortCriterion("specific_weight")
 
@@ -73,6 +74,18 @@ class TestSplitDemand:
     def test_unknown_rounding(self):
         with pytest.raises(InvalidParameterError):
             split_demand(10, 4, 10, "nearest")
+
+    @pytest.mark.parametrize("bad", [(10, 0, 100), (10, 100, 100), (101, 40, 100)])
+    def test_arrays_raise_like_scalars(self, bad):
+        # The first bad entry raises what its scalar call raises, although
+        # the last entry is a degenerate partition.
+        with pytest.raises(InvalidPartitionError) as scalar:
+            split_demand(*bad)
+        arrays = [np.array(column) for column in zip((633, 343, 704), bad, (10, 100, 100))]
+        with pytest.raises(InvalidPartitionError, match=f"^{re.escape(str(scalar.value))}$"):
+            split_demand(*arrays)
+        with pytest.raises(InvalidParameterError):
+            split_demand(*arrays[:2], np.array([704, 100, 100]), "nearest")
 
     def test_halves_are_nonnegative_and_sum(self):
         rng = np.random.default_rng(2)
@@ -220,22 +233,35 @@ def split_cases(draw):
 
 
 @st.composite
-def trees(draw):
-    """A random feasible instance and a tree over it, every parameter drawn."""
-    caps = draw(st.lists(st.integers(1, 120), min_size=1, max_size=40))
+def tree_args(draw):
+    """The arguments of one build_tree call over a random feasible instance,
+    every parameter drawn."""
+    caps = draw(st.lists(st.integers(1, 120), min_size=1, max_size=60))
     inst = ProblemInstance(
         caps, proctors_from_rate(caps, draw(st.integers(1, 90))),
         draw(st.integers(0, sum(caps))),
     )
     algorithm = draw(st.sampled_from(TREE_ALGORITHMS))
-    fraction = draw(st.fractions(0, 1, max_denominator=20)) if algorithm == "hlT" else None
+    fraction = None
+    if algorithm == "hlT":
+        fraction = draw(st.sampled_from((Fraction(0), Fraction(1))) | st.fractions(0, 1, max_denominator=20))
     key = draw(st.sampled_from(SORT_KEYS))
     sort = SortCriterion(key, seed=draw(st.integers(0, 2**32)) if key == "random" else None)
-    tree = build_tree(
-        inst, algorithm, sort, fraction=fraction,
-        min_size=draw(st.integers(1, 5)), rounding=draw(st.sampled_from(ROUNDING_MODES)),
-    )
-    return inst, tree
+    return inst, algorithm, sort, fraction, draw(st.integers(1, 6)), draw(st.sampled_from(ROUNDING_MODES))
+
+
+@st.composite
+def trees(draw):
+    """A random feasible instance and a tree over it."""
+    args = draw(tree_args())
+    return args[0], build_tree(*args)
+
+
+def node_fields(nodes):
+    return [
+        (n.rooms, n.demand, n.height, n.index, None if n.is_leaf else (n.left.index, n.right.index))
+        for n in nodes
+    ]
 
 
 class TestTreeProperties:
@@ -249,6 +275,24 @@ class TestTreeProperties:
         share = Fraction(demand * left, total)
         assert d_left - 1 < share <= d_left if rounding == "ceil" else d_left <= share < d_left + 1
         assert 0 <= d_left <= left and 0 <= d_right <= total - left
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(split_cases(), min_size=1, max_size=20), st.sampled_from(ROUNDING_MODES))
+    def test_split_demand_on_arrays_equals_scalar_calls(self, cases, rounding):
+        columns = zip(*(case[:3] for case in cases))  # each case's own rounding is not used
+        demand, left, total = (np.array(column, dtype=np.int64) for column in columns)
+        d_left, d_right = split_demand(demand, left, total, rounding)
+        expected = [split_demand(int(d), int(l), int(t), rounding) for d, l, t in zip(demand, left, total)]
+        assert list(zip(d_left.tolist(), d_right.tolist())) == expected
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(tree_args())
+    def test_matches_recursive_reference(self, args):
+        tree = build_tree(*args)
+        expected = reference_nodes(*args)
+        assert node_fields(tree.nodes) == node_fields(expected)
+        assert tree.root is tree.nodes[0]
+        assert tree.height == max(node.height for node in expected)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(trees())

@@ -40,8 +40,12 @@ def cover_path_triples(tree):
     return triples
 
 
+def solve_tree_vertices(tree):
+    return solve_vertices(tree.instance, tree.order, tree.start, tree.step, tree.size, tree.demand)
+
+
 def kernel_triples(tree):
-    num, den, dps, gas = solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
+    num, den, dps, gas = solve_tree_vertices(tree)
     assert len(num) == len(den) == len(dps) == len(gas) == len(tree.nodes)
     return [(Fraction(int(a), int(b)), int(d), int(g)) for a, b, d, g in zip(num, den, dps, gas)]
 
@@ -255,7 +259,7 @@ def batched_dps(tree, cells=None):
         mp.setattr(solvers, "_dp_values", spy)
         if cells is not None:
             mp.setattr(solvers, "_GROUP_CELLS", cells)
-        solve_vertices(tree.instance, tree.root.rooms, tree.nodes)
+        solve_tree_vertices(tree)
     return found
 
 

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcknap import (
     InvalidParameterError,
@@ -36,7 +40,40 @@ class TestProctorsFromRate:
         assert all(p >= 1 for p in proctors_from_rate([1, 2, 3], 1000))
 
 
+def fraction_ranks(caps, proctors):
+    """Dense rank of each ratio capacity / proctors, 0 for the largest, by Fraction."""
+    weights = [Fraction(c, p) for c, p in zip(caps, proctors)]
+    rank = {w: r for r, w in enumerate(sorted(set(weights), reverse=True))}
+    return tuple(rank[w] for w in weights)
+
+
+@st.composite
+def rank_rooms(draw):
+    """(capacities, proctors): rated rooms, multiples of a few ratios such as
+    54/1 and 108/2, or up to 3 rooms near 2^29 whose quotients tie as floats."""
+    style = draw(st.sampled_from(("rate", "tied", "near")))
+    if style == "rate":
+        caps = draw(st.lists(st.integers(1, 200), min_size=1, max_size=60))
+        return caps, proctors_from_rate(caps, draw(st.sampled_from((1, 2, 54)) | st.integers(1, 120)))
+    if style == "tied":
+        base = st.sampled_from(((54, 1), (1, 1), (2, 3), (113, 3))) | st.tuples(st.integers(1, 12), st.integers(1, 4))
+        ratios = draw(st.lists(base, min_size=1, max_size=4))
+        picks = draw(st.lists(st.tuples(st.sampled_from(ratios), st.integers(1, 9)), min_size=1, max_size=40))
+        return [k * c for (c, _), k in picks], [k * p for (_, p), k in picks]
+    # (p + d) / p and (p' + d) / p' differ by about d (p' - p) / 2^58 <= 2^-52
+    # here, the float spacing at 1, so they mostly round to one float.  Below
+    # 1 (d < 0) the smaller capacity has the smaller ratio.
+    proctors = draw(st.lists(st.integers(2**29 - 21, 2**29), min_size=1, max_size=3))
+    return [p + draw(st.integers(-3, 3)) for p in proctors], proctors
+
+
 class TestWeightRanks:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rank_rooms())
+    def test_matches_fraction_ranks(self, rooms):
+        caps, proctors = rooms
+        assert ProblemInstance(caps, proctors, 0).weight_ranks == fraction_ranks(caps, proctors)
+
     def test_two_rooms(self):
         # 100/4 = 25 ranks above 40/2 = 20.
         assert ProblemInstance((100, 40), (4, 2), 40).weight_ranks == (0, 1)

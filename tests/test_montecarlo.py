@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcknap import (
+    DCNode,
     ExperimentParams,
     InvalidParameterError,
     Realization,
@@ -23,6 +24,8 @@ from dcknap import (
     sweep,
     write_rooms_csv,
 )
+from dcknap import dctree, metrics
+from dcknap.dctree import TREE_ALGORITHMS, build_tree
 
 
 class TestSampling:
@@ -164,6 +167,24 @@ class TestRunExperiment:
     def test_random_sort_is_reproducible(self):
         params = replace(SMALL, sort=SortCriterion("random", seed=None))
         assert run_experiment(params) == run_experiment(params)
+
+
+    @pytest.mark.parametrize("tree_alg", TREE_ALGORITHMS)
+    def test_builds_no_per_vertex_objects(self, tree_alg, monkeypatch):
+        # Trees stay arrays from the rank to the per-height sums: no DCNode
+        # and no prune, at either binding a caller could look up.
+        calls = []
+        init = DCNode.__init__
+        monkeypatch.setattr(DCNode, "__init__", lambda node, *a, **k: calls.append("DCNode") or init(node, *a, **k))
+        prune = dctree.prune
+        for module in (dctree, metrics):
+            monkeypatch.setattr(module, "prune", lambda *a, **k: calls.append("prune") or prune(*a, **k))
+        params = ExperimentParams(n_rooms=64, tree_alg=tree_alg, realizations=3, master_seed=5)
+        assert run_experiment(params).average.height >= 3
+        assert calls == []
+        # The spy counts: the DCNode view of a tree is built on first use.
+        tree = build_tree(build_instance(make_realization("uniform", 64, 1, 5), 54), tree_alg, params.sort)
+        assert len(tree.nodes) == calls.count("DCNode") > 1
 
 
 class TestSweep:
