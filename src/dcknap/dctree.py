@@ -229,7 +229,13 @@ def build_tree(
         levels.append(level)
         size = level[2]
         if params.algorithm == HEAD_LEFT:
-            left_size = size * params.fraction.numerator // params.fraction.denominator
+            # floor(f * size) in Python ints, over the level's few distinct
+            # sizes: f's numerator may be near or past 2^63.
+            sizes, at = np.unique(size, return_inverse=True)
+            f = params.fraction
+            left_size = np.array(
+                [s * f.numerator // f.denominator for s in sizes.tolist()], np.int64
+            )[at]
         else:
             left_size = (size + 1) // 2
         split = (size > params.min_size) & (left_size > 0) & (left_size < size)

@@ -68,9 +68,10 @@ class ProblemInstance:
         return sum(self.proctors)
 
     @cached_property
-    def weight_ranks(self) -> tuple[int, ...]:
+    def weight_ranks(self) -> np.ndarray:
         """Dense rank of each room's specific weight capacity / proctors, 0 for
-        the largest; rooms with equal ratios share a rank.  Computed once.
+        the largest; rooms with equal ratios share a rank.  Computed once, as
+        a read-only int64 array.
 
         Exact on integers: each pair is reduced by its gcd, so equal ratios
         become one distinct pair (c << 31 | p, both below 2^31), and the
@@ -93,7 +94,9 @@ class ProblemInstance:
             order[a:b] = tie[np.argsort(larger.sum(axis=1))]
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        return tuple(rank[room_pair].tolist())
+        rank = rank[room_pair]
+        rank.flags.writeable = False
+        return rank
 
     def is_feasible(self) -> bool:
         return self.total_capacity >= self.demand

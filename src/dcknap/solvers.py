@@ -108,7 +108,7 @@ def _greedy(instance: ProblemInstance, order) -> tuple[np.ndarray, np.ndarray, n
     weight, ties by place in `order`; as int64 arrays (positions, capacities,
     proctors)."""
     order = np.asarray(order, dtype=np.int64)
-    positions = order[np.argsort(np.asarray(instance.weight_ranks)[order], kind="stable")]
+    positions = order[np.argsort(instance.weight_ranks[order], kind="stable")]
     return (
         positions,
         np.array(instance.capacities, dtype=np.int64)[positions],

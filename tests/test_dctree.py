@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcknap import (
@@ -244,7 +244,11 @@ def tree_args(draw):
     algorithm = draw(st.sampled_from(TREE_ALGORITHMS))
     fraction = None
     if algorithm == "hlT":
-        fraction = draw(st.sampled_from((Fraction(0), Fraction(1))) | st.fractions(0, 1, max_denominator=20))
+        fraction = draw(
+            st.sampled_from((Fraction(0), Fraction(1)))
+            | st.fractions(0, 1, max_denominator=20)
+            | st.fractions(0, 1)  # large denominators too
+        )
     key = draw(st.sampled_from(SORT_KEYS))
     sort = SortCriterion(key, seed=draw(st.integers(0, 2**32)) if key == "random" else None)
     return inst, algorithm, sort, fraction, draw(st.integers(1, 6)), draw(st.sampled_from(ROUNDING_MODES))
@@ -255,6 +259,9 @@ def trees(draw):
     """A random feasible instance and a tree over it."""
     args = draw(tree_args())
     return args[0], build_tree(*args)
+
+
+LARGE = random_instance(np.random.default_rng(11), n=4096)
 
 
 def node_fields(nodes):
@@ -287,6 +294,10 @@ class TestTreeProperties:
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(tree_args())
+    # 4,096 rooms times 3333333333333333 (the float 1/3's shortest repr)
+    # exceed 2^63, and the 20-digit decimal's numerator alone does.
+    @example((LARGE, "hlT", GAMMA, Fraction(str(1 / 3)), 2, "ceil"))
+    @example((LARGE, "hlT", GAMMA, "0.33333333333333333333", 2, "ceil"))
     def test_matches_recursive_reference(self, args):
         tree = build_tree(*args)
         expected = reference_nodes(*args)

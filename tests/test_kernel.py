@@ -165,7 +165,7 @@ def test_tied_weights_follow_tree_place():
 
 def test_weight_ranks_are_dense_and_exact():
     # 6/3 = 4/2 = 2 share rank 1; 5/1 is the largest; 7/4 the smallest.
-    assert ProblemInstance((6, 5, 4, 7), (3, 1, 2, 4), 0).weight_ranks == (1, 0, 1, 2)
+    assert ProblemInstance((6, 5, 4, 7), (3, 1, 2, 4), 0).weight_ranks.tolist() == [1, 0, 1, 2]
 
 
 @pytest.mark.parametrize("algorithm", TREE_ALGORITHMS)
@@ -179,7 +179,7 @@ def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
     inst = build_instance(realization, 54)
     solve_tree(build_tree(inst, algorithm, SortCriterion("specific_weight"), min_size=4))
     assert len(ranked) == 1 and ranked[0] is inst
-    assert inst.weight_ranks is inst.weight_ranks
+    assert inst.weight_ranks is inst.weight_ranks and not inst.weight_ranks.flags.writeable
 
 
 def _dp_values_of(inst):
