@@ -3,7 +3,7 @@
 * greedy upper bound (GAS): take rooms by descending specific weight until
   the demand is covered, i.e. the LP support rounded up;
 * exact optimum (DPS): dynamic programming indexed by proctor cost up to
-  GAS or by the complement knapsack's budget, whichever axis is smaller;
+  UB or by the complement knapsack's budget, whichever axis is smaller;
   ties go to the lexicographically smallest cover;
 * linear-relaxation lower bound (LRS): closed form, at most one fractional
   room, computed exactly as a Fraction.
@@ -11,13 +11,16 @@
 Specific weights are compared by the instance's exact rank,
 `ProblemInstance.weight_ranks`, computed once per instance and read by both
 the `specific_weight` sort and `_greedy`, the one greedy order.  LRS and
-GAS come from one cumulative-sum scan in that order, and GAS bounds the
-cost axis of every DP.  `solve_vertices`, the tree kernel, gathers a
-tree's vertices from their strided slices of its root order, lays them end
-to end in one flat array, each in greedy order, and returns every
+GAS come from one cumulative-sum scan in that order.  `_repaired_bound`
+turns GAS into UB, the cheaper of GAS and its one-room repairs (swap the
+break room, drop a spare room); UB is internal, bounds the cost axis of
+every DP, and LRS <= DPS <= UB <= GAS.  `solve_vertices`, the tree kernel,
+gathers a tree's vertices from their strided slices of its root order, lays
+them end to end in one flat array, each in greedy order, and returns every
 vertex's LRS (as an integer numerator and denominator), DPS and GAS as
-int64 arrays: one `cumsum` and one `searchsorted` give every bound, and one
-value-only DP per tree, `_dp_values`, runs only where ceil(LRS) < GAS:
+int64 arrays: one `cumsum` and one `searchsorted` give every bound, two
+masked `reduceat`s the repairs, and one value-only DP per tree,
+`_dp_values`, runs only where ceil(LRS) < UB:
 vertices of one axis and width class roll their rows as one matrix, one
 max-plus step per distinct room weight per batch, the largest group of
 each batch a gather.
@@ -141,6 +144,37 @@ def _scan(caps: np.ndarray, prices: np.ndarray, starts, demands):
     return end, num, den, gas
 
 
+def _repaired_bound(caps: np.ndarray, prices: np.ndarray, offsets, demands, end, gas) -> np.ndarray:
+    """UB, an int64 array: the cheapest of three covers of each vertex of
+    `_scan` (rooms offsets[v]..offsets[v+1]-1, greedy cover ending at end[v]).
+
+    With b = end - 1 the break room and r the demand left for it:
+
+    * the greedy cover itself, GAS;
+    * swap: the rooms before b, plus the cheapest room j >= b of the vertex
+      with c_j >= r (b itself is one, so swap <= GAS);
+    * drop: the greedy cover without its most costly room i that the cover's
+      excess capacity can spare, c_i <= excess (never b: c_b = r + excess).
+
+    Each is a cover, so DPS <= UB <= GAS; UB is 0 where the demand is 0.  This
+    is the covering form of the extended greedy (Kellerer, Pferschy &
+    Pisinger, *Knapsack Problems*, 2004, sec. 2.5).
+    """
+    offsets, demands = np.asarray(offsets), np.asarray(demands)
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    covered = np.concatenate(([0], np.cumsum(caps)))
+    target = covered[starts] + demands
+    b = end - 1
+    # Per room: r and the excess of its vertex, and whether it is b or after it.
+    need, excess = np.repeat(target - covered[b], sizes), np.repeat(covered[end] - target, sizes)
+    after_b = np.arange(len(caps)) >= np.repeat(b, sizes)
+    # Padding by the dearest room leaves each minimum at most p_b.
+    cheapest = np.minimum.reduceat(np.where(after_b & (caps >= need), prices, prices.max()), starts)
+    spare = np.maximum.reduceat(np.where(~after_b & (caps <= excess), prices, 0), starts)
+    ub = gas - np.maximum(prices[b] - cheapest, spare)
+    return np.where(demands > 0, ub, 0)
+
+
 def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     """Exact optimum of the relaxation with 0 <= x[i] <= 1.
 
@@ -165,20 +199,20 @@ def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(support)), sum(instance.proctors[i] for i in support)
 
 
-def _dp_axis(n: int, total_capacity: int, demand: int, gas: int) -> tuple[bool, int]:
+def _dp_axis(n: int, total_capacity: int, demand: int, ub: int) -> tuple[bool, int]:
     """(indexed by cost, last column) of the exact DP's smaller axis: cost
-    0..GAS or budget 0..total capacity - demand.
+    0..UB (`_repaired_bound`) or budget 0..total capacity - demand.
 
     Raises SizeLimitError when the n + 1 row table would exceed
     `DP_MAX_CELLS`, which bounds both the memory and the work.
     """
     budget = total_capacity - demand
-    by_cost = gas <= budget
-    width = gas if by_cost else budget
+    by_cost = ub <= budget
+    width = ub if by_cost else budget
     if (n + 1) * (width + 1) > DP_MAX_CELLS:
         raise SizeLimitError(
             f"exact DP table of {n + 1} rows x {width + 1} columns exceeds "
-            f"{DP_MAX_CELLS} cells (cost axis {gas + 1}, "
+            f"{DP_MAX_CELLS} cells (cost axis {ub + 1}, "
             f"budget axis {budget + 1} columns)"
         )
     return by_cost, width
@@ -203,10 +237,10 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     """Exact minimum-cost cover by dynamic programming on the smaller axis,
     as (ascending room positions, proctor cost); () when the demand is 0.
 
-    The greedy cover's cost GAS bounds the optimum from above, and the
-    table is indexed by whichever axis has fewer columns:
+    The repaired greedy cost UB (`_repaired_bound`) bounds the optimum from
+    above, and the table is indexed by whichever axis has fewer columns:
 
-    * cost, 0..GAS: the largest capacity rooms i.. cover for at most c
+    * cost, 0..UB: the largest capacity rooms i.. cover for at most c
       proctors; the optimum is the least c whose row-0 entry meets the demand;
     * budget, 0..total capacity - demand: the complement knapsack, the most
       proctors rooms i.. can leave out within the budget.
@@ -223,8 +257,9 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     if demand == 0:
         return (), 0
     _, greedy_caps, greedy_prices = _greedy(instance, range(n))
-    gas = int(_scan(greedy_caps, greedy_prices, [0], [demand])[3][0])
-    by_cost, width = _dp_axis(n, instance.total_capacity, demand, gas)
+    end, _, _, gas = _scan(greedy_caps, greedy_prices, [0], [demand])
+    ub = int(_repaired_bound(greedy_caps, greedy_prices, [0, n], [demand], end, gas)[0])
+    by_cost, width = _dp_axis(n, instance.total_capacity, demand, ub)
 
     # Walking forward and leaving a room out whenever that stays optimal
     # keeps the cover lexicographically smallest.
@@ -250,10 +285,11 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     return tuple(rooms), value
 
 
-def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, gas, vertices) -> np.ndarray:
+def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, ub, vertices) -> np.ndarray:
     """The optimum cost dp_solve finds, on the same axis, of each vertex in
     `vertices` (indices into the consecutive vertices of `_solve_flat`), from
-    rolling rows instead of tables (no cover is recovered).
+    rolling rows instead of tables (no cover is recovered); ub[v] is vertex
+    v's `_repaired_bound`, the end of its cost axis.
 
     Rooms of equal weight w differ only in value, so any j of them weigh
     j * w and the best j are the j most valuable: a group of them is one
@@ -276,14 +312,14 @@ def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, gas, vert
     sizes = ends - starts
     cap_sum, price_sum = (np.concatenate(([0], np.cumsum(a))) for a in (caps, prices))
     total_cap = cap_sum[ends] - cap_sum[starts]
-    demand, gas = np.asarray(demands)[vertices], gas[vertices]
+    demand, ub = np.asarray(demands)[vertices], ub[vertices]
     budget = total_cap - demand
-    by_cost = gas <= budget
-    width = np.where(by_cost, gas, budget)
+    by_cost = ub <= budget
+    width = np.where(by_cost, ub, budget)
     too_big = (sizes + 1) * (width + 1) > DP_MAX_CELLS
     if too_big.any():
         v = int(np.argmax(too_big))
-        _dp_axis(int(sizes[v]), int(total_cap[v]), int(demand[v]), int(gas[v]))  # raises
+        _dp_axis(int(sizes[v]), int(total_cap[v]), int(demand[v]), int(ub[v]))  # raises
 
     # frexp gives the bit length of width + 1.
     cls = 2 * np.frexp(width + 1)[1] + by_cost
@@ -369,20 +405,23 @@ def _solve_flat(caps: np.ndarray, prices: np.ndarray, offsets, demands):
     num / den: vertex v owns rooms offsets[v]..offsets[v+1]-1 of `caps` and
     `prices`, in greedy order, and demands[v].
 
-    Raises AssertionError where LRS <= DPS <= GAS fails.
+    Raises AssertionError where LRS <= DPS <= UB <= GAS fails, UB being
+    `_repaired_bound`.
     """
-    _, num, den, gas = _scan(caps, prices, offsets[:-1], demands)
-    dps = gas.copy()
-    # DPS is an integer in [LRS, GAS]: the DP is needed only where
-    # ceil(LRS) < GAS, that is where num <= (GAS - 1) * den.
-    unsettled = np.flatnonzero(num <= (gas - 1) * den)
+    end, num, den, gas = _scan(caps, prices, offsets[:-1], demands)
+    ub = _repaired_bound(caps, prices, offsets, demands, end, gas)
+    dps = ub.copy()
+    # DPS is an integer in [LRS, UB]: the DP is needed only where
+    # ceil(LRS) < UB, that is where num <= (UB - 1) * den.
+    unsettled = np.flatnonzero(num <= (ub - 1) * den)
     if len(unsettled):
-        dps[unsettled] = _dp_values(caps, prices, offsets, demands, gas, unsettled)
-    broken = (num > dps * den) | (dps > gas)
+        dps[unsettled] = _dp_values(caps, prices, offsets, demands, ub, unsettled)
+    broken = (num > dps * den) | (dps > ub) | (ub > gas)
     if broken.any():
         v = int(np.argmax(broken))
         raise AssertionError(
-            f"bound sandwich violated: {Fraction(int(num[v]), int(den[v]))} <= {dps[v]} <= {gas[v]}"
+            f"bound sandwich violated: {Fraction(int(num[v]), int(den[v]))} <= {dps[v]}"
+            f" <= UB {ub[v]} <= GAS {gas[v]}"
         )
     return num, den, dps, gas
 

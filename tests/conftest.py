@@ -14,6 +14,9 @@ DATA_DIR = Path(__file__).parent / "data"
 R1_CAPACITIES = (113, 54, 95, 89, 85, 87, 76, 105)
 R1_DEMAND = 633
 
+# Capacity/proctor ratios shared by many rooms, so optima and greedy order tie often.
+RATIOS = ((1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (6, 4))
+
 
 @pytest.fixture
 def rooms_csv() -> Path:

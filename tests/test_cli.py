@@ -221,12 +221,25 @@ class TestSolve:
 
     def test_dp_cost_axis_ends_at_greedy_cost(self, tmp_path, capsys):
         # The budget axis would need 3 x 1,000,000,006 cells; the greedy
-        # cover costs 10, so the cost axis has 11 columns.
+        # cover costs 10 and no repair is cheaper, so the cost axis ends at
+        # UB = 10 and has 11 columns.
         rooms = tmp_path / "cheap_cover.csv"
         rooms.write_text("room,a\n0,10\n1,1000000000\nSUM,1000000010\nDEMAND,5\n")
         code, out, _ = run(capsys, "solve", str(rooms), "--rate", "1", "--solver", "dp")
         assert code == 0
         assert "DPS 10 rooms=0" in out.splitlines()
+
+    def test_dp_cost_axis_ends_at_repaired_bound(self, tmp_path, capsys):
+        # Tied weights put the huge room first, so GAS = 1,000,000,000 and
+        # either full axis exceeds the cell limit; swapping the break room for
+        # room 1 gives UB = 10, an 11-column cost axis.  GAS is still reported.
+        rooms = tmp_path / "dear_greedy.csv"
+        rooms.write_text("room,a\n0,1000000000\n1,10\nSUM,1000000010\nDEMAND,5\n")
+        code, out, _ = run(capsys, "solve", str(rooms), "--rate", "1", "--solver", "all")
+        assert code == 0
+        lines = out.splitlines()
+        assert "DPS 10 rooms=1" in lines
+        assert "GAS 1000000000 rooms=0" in lines
 
     def test_missing_column_exits_2(self, rooms_csv, capsys):
         code, _, _ = run(capsys, "solve", str(rooms_csv), "--column", "nope")

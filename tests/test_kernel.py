@@ -30,6 +30,7 @@ from dcknap import solvers
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, prune
 from dcknap.montecarlo import derive_seed, seeded_realization
 from dcknap.solvers import SORT_KEYS, solve_vertices
+from conftest import RATIOS
 
 
 def cover_path_triples(tree):
@@ -124,11 +125,69 @@ def test_reference_realization_every_vertex():
     assert kernel_triples(tree) == cover_path_triples(tree)
 
 
-def _above_gas(caps, prices, offsets, demands, gas, vertices):
-    return gas[vertices] + 1
+@st.composite
+def tied_trees(draw):
+    """Trees of up to 40 rooms of the shared ratios, so that greedy order and
+    covers tie often, at any demand."""
+    picks = draw(st.lists(st.tuples(st.sampled_from(RATIOS), st.integers(1, 3)), min_size=1, max_size=40))
+    caps = [k * c for (c, _), k in picks]
+    demand = draw(st.sampled_from((0, sum(caps))) | st.integers(0, sum(caps)))
+    key = draw(st.sampled_from(SORT_KEYS))
+    sort = SortCriterion(key, seed=draw(st.integers(0, 2**32)) if key == "random" else None)
+    return build_tree(
+        ProblemInstance(caps, [k * p for (_, p), k in picks], demand),
+        draw(st.sampled_from(TREE_ALGORITHMS)), sort, min_size=draw(st.sampled_from((1, 2, 4))),
+    )
 
 
-def _below_lrs(caps, prices, offsets, demands, gas, vertices):
+def reference_cover(inst):
+    """The cheapest of the greedy cover, its break-room swaps and its one-room
+    drops, rebuilt room by room from exact specific weights (ties by position)."""
+    caps, prices, demand = inst.capacities, inst.proctors, inst.demand
+    order = sorted(range(inst.n_rooms), key=lambda i: -Fraction(caps[i], prices[i]))
+    taken = []
+    while sum(caps[i] for i in taken) < demand:
+        taken.append(order[len(taken)])
+    before, excess = taken[:-1], sum(caps[i] for i in taken) - demand
+    need = demand - sum(caps[i] for i in before)
+    covers = [taken]
+    covers += [before + [j] for j in order[len(before):] if caps[j] >= need]
+    covers += [[k for k in taken if k != i] for i in taken if caps[i] <= excess]
+    return min(covers, key=lambda cover: sum(prices[i] for i in cover))
+
+
+def kernel_bounds(tree):
+    """UB of every vertex, as the kernel computes it."""
+    found = []
+    repaired = solvers._repaired_bound
+
+    def spy(*args):
+        found.append(repaired(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_repaired_bound", spy)
+        solve_tree_vertices(tree)
+    (ub,) = found
+    return ub.tolist()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(tied_trees())
+def test_repaired_bound_is_a_cover_between_dps_and_gas(tree):
+    for node, ub in zip(tree.nodes, kernel_bounds(tree), strict=True):
+        sub = tree.subinstance(node)
+        cover = reference_cover(sub)
+        assert sum(sub.capacities[i] for i in cover) >= sub.demand
+        assert sum(sub.proctors[i] for i in cover) == ub
+        assert dp_solve(sub)[1] <= ub <= greedy_solve(sub)[1]
+
+
+def _above_gas(caps, prices, offsets, demands, ub, vertices):
+    return solvers._scan(caps, prices, offsets[:-1], demands)[3][vertices] + 1
+
+
+def _below_lrs(caps, prices, offsets, demands, ub, vertices):
     _, num, den, _ = solvers._scan(caps, prices, offsets[:-1], demands)
     return -(-num[vertices] // den[vertices]) - 1  # ceil(LRS) - 1
 
@@ -138,6 +197,25 @@ def test_sandwich_check_fires(wrong_dp, monkeypatch):
     # The kernel looks _dp_values up as a module global, once per tree.
     tree = reference_tree()
     monkeypatch.setattr(solvers, "_dp_values", wrong_dp)
+    with pytest.raises(AssertionError, match="bound sandwich violated"):
+        solve_tree(tree)
+
+
+def _above_ub(caps, prices, offsets, demands, ub, vertices):
+    gas = solvers._scan(caps, prices, offsets[:-1], demands)[3][vertices]
+    return np.minimum(ub[vertices] + 1, gas)
+
+
+def test_sandwich_check_holds_ub_between_dps_and_gas(monkeypatch):
+    # Realization 0 of the reference setting on 64 rooms at rate 1: 9 of its
+    # 30 DP vertices have UB < GAS, where a DPS of UB + 1 is still at most GAS.
+    realization = seeded_realization("uniform", 64, Fraction(9, 10), 2024, 0)
+    tree = build_tree(build_instance(realization, 1), "hlT", SortCriterion("specific_weight"), min_size=4)
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_dp_values", _above_ub)
+        with pytest.raises(AssertionError, match=r"bound sandwich violated: .+ <= UB \d+ <= GAS"):
+            solve_tree(tree)
+    monkeypatch.setattr(solvers, "_repaired_bound", lambda *args: args[-1] + 1)  # GAS + 1
     with pytest.raises(AssertionError, match="bound sandwich violated"):
         solve_tree(tree)
 
@@ -182,11 +260,18 @@ def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
     assert inst.weight_ranks is inst.weight_ranks and not inst.weight_ranks.flags.writeable
 
 
-def _dp_values_of(inst):
-    """solvers._dp_values on the instance as one vertex: its greedy arrays and GAS."""
+def repaired_bound(inst):
+    """solvers._repaired_bound of the instance as one vertex."""
     _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
-    gas = solvers._scan(caps, prices, [0], [inst.demand])[3]
-    return int(solvers._dp_values(caps, prices, [0, inst.n_rooms], [inst.demand], gas, np.array([0]))[0])
+    end, _, _, gas = solvers._scan(caps, prices, [0], [inst.demand])
+    return int(solvers._repaired_bound(caps, prices, [0, inst.n_rooms], [inst.demand], end, gas)[0])
+
+
+def _dp_values_of(inst):
+    """solvers._dp_values on the instance as one vertex: its greedy arrays and UB."""
+    _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
+    ub = np.array([repaired_bound(inst)])
+    return int(solvers._dp_values(caps, prices, [0, inst.n_rooms], [inst.demand], ub, np.array([0]))[0])
 
 
 @st.composite
@@ -250,8 +335,8 @@ def batched_dps(tree, cells=None):
     found = {}
     batched = solvers._dp_values
 
-    def spy(caps, prices, offsets, demands, gas, vertices):
-        dps = batched(caps, prices, offsets, demands, gas, vertices)
+    def spy(caps, prices, offsets, demands, ub, vertices):
+        dps = batched(caps, prices, offsets, demands, ub, vertices)
         found.update(zip(vertices.tolist(), dps.tolist()))
         return dps
 
@@ -296,13 +381,14 @@ def test_batched_dp_matches_dp_solve_on_every_vertex(tree, cells):
 
 
 def test_batched_dp_reaches_both_axes():
-    # Realization 0 of the reference setting on 64 rooms, at rate 54 and at
-    # rate 1: at rate 1 the budget, a tenth of the capacity, is the smaller axis.
-    realization = seeded_realization("uniform", 64, Fraction(9, 10), 2024, 0)
+    # Realization 0 of the reference setting on 128 rooms, at rate 54 and at
+    # rate 1: at rate 1 the budget, a tenth of the capacity, is the smaller
+    # axis.  (On 64 rooms the repaired bound leaves only 7 DP vertices at rate 54.)
+    realization = seeded_realization("uniform", 128, Fraction(9, 10), 2024, 0)
     for rate, by_cost in ((54, True), (1, False)):
         tree = build_tree(build_instance(realization, rate), "hlT", SortCriterion("specific_weight"), min_size=4)
         found = batched_dps(tree)
         subs = [tree.subinstance(tree.nodes[v]) for v in found]
-        assert len(subs) >= 10  # of 31 vertices
-        assert {greedy_solve(sub)[1] <= sub.total_capacity - sub.demand for sub in subs} == {by_cost}
+        assert len(subs) >= 10  # of 63 vertices
+        assert {repaired_bound(sub) <= sub.total_capacity - sub.demand for sub in subs} == {by_cost}
         assert list(found.values()) == [dp_solve(sub)[1] for sub in subs]

@@ -18,7 +18,7 @@ from dcknap import (
     solve_triple,
 )
 import dcknap.solvers
-from conftest import brute_force_solve, random_instance
+from conftest import RATIOS, brute_force_solve, random_instance
 
 MICRO = ProblemInstance((100, 40), (4, 2), 40)
 
@@ -134,17 +134,13 @@ class TestDP:
             dp_solve(inst)
 
 
-# Capacity/proctor ratios shared by many rooms, so optima tie often.
-_RATIOS = ((1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (6, 4))
-
-
 @st.composite
 def tied_instances(draw):
     """(instance, side): rooms of a few shared ratios, demand placed so that
     dp_solve indexes by cost ("cost"), by budget ("budget"), or either ("any")."""
     rooms = draw(
         st.lists(
-            st.tuples(st.sampled_from(_RATIOS), st.integers(1, 3)),
+            st.tuples(st.sampled_from(RATIOS), st.integers(1, 3)),
             min_size=1,
             max_size=14,
         )
