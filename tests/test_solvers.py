@@ -122,8 +122,8 @@ class TestDP:
         assert dp_solve(inst)[1] == 1
 
     def test_oversized_table_rejected_before_allocation(self, monkeypatch):
-        # Cost axis up to GAS, 1e9 + 1 columns; budget axis 2e9: either
-        # table is far past the cell limit.
+        # Cost axis up to UB = GAS (no repair is cheaper), 1e9 + 1 columns;
+        # budget axis 2e9: either table is far past the cell limit.
         inst = ProblemInstance((10**9, 10**9), (10**9, 10**9), 1)
 
         def no_allocation(*args, **kwargs):
