@@ -9,17 +9,17 @@ owns the one default: an hlT tree without a head fraction splits at 1/2.
 Vertices are numbered in left pre-order, root = 0.
 
 A tree is integer arrays: every vertex is a strided slice of the root's
-sorted room order (a run for hlT, a residue class for blT), grown one level
-at a time, with its demand, height and children.  `DCTree.nodes` views the
-same tree as DCNode objects for display and tests; experiments never build
-it.
+sorted room order (a run for hlT, a residue class for blT), with its demand,
+height and children.  Only the order and the demands depend on the rooms;
+the rest is one cached shape per room count.  `DCTree.nodes` views the tree
+as DCNode objects for display and tests; experiments never build it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -145,7 +145,8 @@ class DCTree:
     one residue class modulo step 2^d.  An inner vertex's left child is
     v + 1 and its right child right[v]; a leaf has left[v] = right[v] = -1.
     `nodes` and `root` give the same tree as DCNode objects, built on first
-    use.
+    use.  All arrays but `order` and `demand` are read-only and shared by
+    every tree of the same room count and parameters (`_shape`).
     """
 
     instance: ProblemInstance
@@ -193,6 +194,69 @@ class DCTree:
         )
 
 
+@lru_cache(maxsize=16)
+def _shape(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: int):
+    """The read-only arrays of a tree that its rooms do not change:
+    (start, step, size, heights, left, right) by pre-order vertex number, and
+    per splitting level the numbers of its (parents, left and right children).
+
+    Grown one level at a time: a level's children are the left children of
+    its splitting vertices, then their right children; subtree sizes then
+    give the pre-order numbers.  Keyed by value, so it holds no instance.
+    """
+    # A level's vertices as the rows start, step, size.
+    level = np.array([[0], [1], [n_rooms]], dtype=np.int64)
+    levels, splits = [], []
+    while True:
+        levels.append(level)
+        size = level[2]
+        if algorithm == HEAD_LEFT:
+            # floor(f * size) in Python ints, over the level's few distinct
+            # sizes: f's numerator may be near or past 2^63.
+            sizes, at = np.unique(size, return_inverse=True)
+            left_size = np.array(
+                [s * fraction.numerator // fraction.denominator for s in sizes.tolist()], np.int64
+            )[at]
+        else:
+            left_size = (size + 1) // 2
+        split = (size > min_size) & (left_size > 0) & (left_size < size)
+        if not split.any():
+            break
+        splits.append(split)
+        start, step, size = level[:, split]
+        left_size = left_size[split]
+        if algorithm == HEAD_LEFT:
+            right_start = start + left_size
+        else:
+            right_start, step = start + step, 2 * step
+        level = np.array([(start, right_start), (step, step), (left_size, size - left_size)]).reshape(3, -1)
+
+    # Subtree sizes bottom-up, then pre-order numbers top-down: a left child
+    # follows its parent, a right child follows its left sibling's subtree.
+    subtree = [np.ones(levels[-1].shape[1], np.int64)]
+    for split in reversed(splits):
+        sizes = np.ones(len(split), np.int64)
+        sizes[split] += subtree[0].reshape(2, -1).sum(axis=0)
+        subtree.insert(0, sizes)
+    count = int(subtree[0][0])
+    left, right = np.full(count, -1), np.full(count, -1)
+    number, parents = [np.zeros(1, np.int64)], []
+    for split, below in zip(splits, subtree[1:]):
+        parent = number[-1][split]
+        left[parent] = parent + 1
+        right[parent] = parent + 1 + below[: len(parent)]
+        number.append(np.concatenate((left[parent], right[parent])))
+        parents.append((parent, left[parent], right[parent]))
+    columns = np.concatenate(levels, axis=1)
+    heights = np.repeat(np.arange(len(levels)), [level.shape[1] for level in levels])
+    # `number` is a permutation of the vertices, so the gather sets each one.
+    in_order = np.argsort(np.concatenate(number))
+    vertices = (*columns[:, in_order], heights[in_order], left, right)
+    for array in (*vertices, *(a for level in parents for a in level)):
+        array.flags.writeable = False
+    return vertices, tuple(parents)
+
+
 def build_tree(
     instance: ProblemInstance,
     algorithm: str,
@@ -209,77 +273,32 @@ def build_tree(
     puts the even positions left, the odd ones right.  A vertex stays a leaf
     once it has at most `min_size` rooms or a child would come out empty.
 
-    The tree grows one level at a time on arrays.  A level's children are
-    laid out as the left children of its splitting vertices, then their
-    right children.  Their capacity sums come from prefix sums of the
-    sorted capacities (hlT) or from one sum per residue class (blT).  The
-    levels are then numbered in pre-order from their subtree sizes.
+    Only the order and the demands are the instance's own.  Each vertex's
+    capacity is a prefix-sum difference of the sorted capacities (hlT) or its
+    residue class's sum (blT); the demands are split one level at a time.
     """
     params = TreeParams(algorithm, sort, fraction, min_size, rounding)
     instance.require_feasible()
+    key = (params.algorithm, instance.n_rooms, params.fraction, params.min_size)
+    (start, step, size, heights, left, right), levels = _shape(*key)
     order = np.array(sort.order(instance), dtype=np.int64)
     caps = np.array(instance.capacities, dtype=np.int64)[order]  # by place in `order`
-    prefix = np.append(0, np.cumsum(caps))
-    padded = np.zeros(1 << (len(caps) - 1).bit_length(), np.int64)  # to a power of 2
-    padded[: len(caps)] = caps
-    # A level's vertices as the rows start, step, size, demand, capacity.
-    level = np.array([[0], [1], [len(order)], [instance.demand], [caps.sum()]], dtype=np.int64)
-    levels, splits = [], []
-    while True:
-        levels.append(level)
-        size = level[2]
-        if params.algorithm == HEAD_LEFT:
-            # floor(f * size) in Python ints, over the level's few distinct
-            # sizes: f's numerator may be near or past 2^63.
-            sizes, at = np.unique(size, return_inverse=True)
-            f = params.fraction
-            left_size = np.array(
-                [s * f.numerator // f.denominator for s in sizes.tolist()], np.int64
-            )[at]
-        else:
-            left_size = (size + 1) // 2
-        split = (size > params.min_size) & (left_size > 0) & (left_size < size)
-        if not split.any():
-            break
-        splits.append(split)
-        start, step, size, demand, capacity = level[:, split]
-        left_size = left_size[split]
-        if params.algorithm == HEAD_LEFT:
-            right_start = start + left_size
-            left_capacity = prefix[right_start] - prefix[start]
-        else:
-            right_start, step = start + step, 2 * step
-            # A blT level's children are the residue classes modulo one step.
-            left_capacity = padded.reshape(-1, int(step[0])).sum(axis=0)[start]
-        d_left, d_right = split_demand(demand, left_capacity, capacity, params.rounding)
-        level = np.array([
-            (start, right_start), (step, step), (left_size, size - left_size),
-            (d_left, d_right), (left_capacity, capacity - left_capacity),
-        ]).reshape(5, -1)
-
-    # Subtree sizes bottom-up, then pre-order numbers top-down: a left child
-    # follows its parent, a right child follows its left sibling's subtree.
-    subtree = [np.ones(levels[-1].shape[1], np.int64)]
-    for split in reversed(splits):
-        sizes = np.ones(len(split), np.int64)
-        sizes[split] += subtree[0].reshape(2, -1).sum(axis=0)
-        subtree.insert(0, sizes)
-    count = int(subtree[0][0])
-    left, right = np.full(count, -1), np.full(count, -1)
-    number = [np.zeros(1, np.int64)]
-    for split, below in zip(splits, subtree[1:]):
-        parent = number[-1][split]
-        left[parent] = parent + 1
-        right[parent] = parent + 1 + below[: len(parent)]
-        number.append(np.concatenate((left[parent], right[parent])))
-    columns = np.concatenate(levels, axis=1)
-    columns[4] = np.repeat(np.arange(len(levels)), [level.shape[1] for level in levels])
-    vertices = np.empty_like(columns)
-    vertices[:, np.concatenate(number)] = columns
-    start, step, size, demand, heights = vertices
-    return DCTree(
-        instance, order, start, step, size, demand, heights, left, right, height=len(levels) - 1
-    )
+    if params.algorithm == HEAD_LEFT:
+        prefix = np.append(0, np.cumsum(caps))
+        capacity = prefix[start + size] - prefix[start]
+    else:
+        # A blT vertex at depth d holds the residue class start modulo 2^d = step.
+        padded = np.zeros(1 << (len(caps) - 1).bit_length(), np.int64)  # to a power of 2
+        padded[: len(caps)] = caps
+        sums = [padded.reshape(-1, 1 << d).sum(axis=0) for d in range(len(levels) + 1)]
+        capacity = np.concatenate(sums)[step - 1 + start]
+    demand = np.zeros(len(size), np.int64)
+    demand[0] = instance.demand
+    for parents, lefts, rights in levels:
+        demand[lefts], demand[rights] = split_demand(
+            demand[parents], capacity[lefts], capacity[parents], params.rounding
+        )
+    return DCTree(instance, order, start, step, size, demand, heights, left, right, height=len(levels))
 
 
 def prune(tree: DCTree, h: int) -> list[DCNode]:

@@ -111,12 +111,12 @@ class EfficiencySeries:
         return getattr(self, field)
 
 
-def _fraction_sum(nums, dens) -> Fraction:
-    """Exact sum of nums[i] / dens[i], the dens distinct, as one Fraction over
-    the lcm of the denominators of the nonzero terms."""
+def _fraction_sum(nums, dens, count: int = 1) -> Fraction:
+    """Exact sum of nums[i] / dens[i], divided by `count`, as one Fraction
+    over the lcm of the denominators of the nonzero terms."""
     terms = [(num, den) for num, den in zip(nums, dens) if num]
     common = math.lcm(*(den for _, den in terms))
-    return Fraction(sum(num * (common // den) for num, den in terms), common)
+    return Fraction(sum(num * (common // den) for num, den in terms), common * count)
 
 
 def solve_tree(tree: DCTree) -> EfficiencySeries:
@@ -174,10 +174,11 @@ def average_series(series: Sequence[EfficiencySeries]) -> EfficiencySeries:
     k = len(series)
 
     def mean_field(name):
+        # An int cell is its own numerator over 1, so int cells sum as ints.
         columns = [s.metric(name) for s in series]
         return tuple(
-            sum((as_fraction(col[i]) for col in columns), Fraction(0)) / k
-            for i in range(len(columns[0]))
+            _fraction_sum([c.numerator for c in cells], [c.denominator for c in cells], k)
+            for cells in zip(*columns)
         )
 
     return EfficiencySeries(**{name.lower(): mean_field(name) for name in ALL_METRICS})

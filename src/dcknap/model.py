@@ -32,23 +32,24 @@ class ProblemInstance:
     demand: int  # students to place, >= 0
 
     def __post_init__(self):
-        object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
-        object.__setattr__(self, "proctors", tuple(int(p) for p in self.proctors))
+        object.__setattr__(self, "capacities", tuple(map(int, self.capacities)))
+        object.__setattr__(self, "proctors", tuple(map(int, self.proctors)))
         object.__setattr__(self, "demand", int(self.demand))
         n = len(self.capacities)
         if n < 1:
             raise InvalidParameterError("an instance needs at least one room")
         if len(self.proctors) != n:
             raise InvalidParameterError("capacities and proctors must have equal length")
-        if any(c < 1 for c in self.capacities):
+        if min(self.capacities) < 1:
             raise InvalidParameterError("all capacities must be >= 1")
-        if any(p < 1 for p in self.proctors):
+        if min(self.proctors) < 1:
             raise InvalidParameterError("all proctor counts must be >= 1")
         if self.demand < 0:
             raise InvalidParameterError("demand must be >= 0")
+        # Python-int sums: exact for any value, where an int64 sum could wrap.
         for name, total in (
-            ("capacity", sum(self.capacities)),
-            ("proctor count", sum(self.proctors)),
+            ("capacity", self.total_capacity),
+            ("proctor count", self.total_proctors),
         ):
             if total > MAX_TOTAL_CAPACITY:
                 raise InvalidParameterError(
@@ -59,11 +60,11 @@ class ProblemInstance:
     def n_rooms(self) -> int:
         return len(self.capacities)
 
-    @property
+    @cached_property
     def total_capacity(self) -> int:
         return sum(self.capacities)
 
-    @property
+    @cached_property
     def total_proctors(self) -> int:
         return sum(self.proctors)
 
@@ -114,4 +115,4 @@ def proctors_from_rate(capacities, rate: int) -> tuple[int, ...]:
     rate = int(rate)
     if rate < 1:
         raise InvalidParameterError(f"rate must be >= 1, got {rate}")
-    return tuple(-(-int(c) // rate) for c in capacities)
+    return tuple([-(-c // rate) for c in map(int, capacities)])

@@ -86,7 +86,7 @@ def sample_capacities(dist: str, n: int, seed: int) -> tuple[int, ...]:
             caps[zero] = rng.poisson(POISSON_MEAN, size=int(zero.sum()))
         else:
             caps[zero] = rng.binomial(BINOMIAL_TRIALS, BINOMIAL_P, size=int(zero.sum()))
-    return tuple(int(c) for c in caps)
+    return tuple(caps.tolist())
 
 
 def occupancy_demand(occupancy, total_capacity: int) -> int:

@@ -120,7 +120,7 @@ def _greedy(instance: ProblemInstance, order) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _scan(caps: np.ndarray, prices: np.ndarray, starts, demands):
-    """Greedy scan of consecutive vertices, as int64 arrays (end, num, den, GAS).
+    """Greedy scan of consecutive vertices, as int64 arrays (end, num, den, GAS, covered).
 
     Vertex v's rooms start at starts[v] in `caps` and `prices` and run to the
     next vertex, in greedy order; its demand, demands[v], is at most their
@@ -128,9 +128,9 @@ def _scan(caps: np.ndarray, prices: np.ndarray, starts, demands):
     break room b, are whole and cover less than the demand.  GAS is their
     cost and LRS = num / den replaces room b's cost by its used share, so
     den is b's capacity (1 when the demand is 0 and nothing is taken).  The
-    cumsum of all capacities is strictly increasing (each is at least 1), so
-    one searchsorted finds every break room.  Every product stays below
-    2^62, because `ProblemInstance` caps both totals at 2^31 - 1.
+    cumsum of all capacities, covered, is strictly increasing (each is at
+    least 1), so one searchsorted finds every break room.  Every product
+    stays below 2^62, because `ProblemInstance` caps both totals at 2^31 - 1.
     """
     covered = np.concatenate(([0], np.cumsum(caps)))
     cost = np.concatenate(([0], np.cumsum(prices)))
@@ -141,10 +141,10 @@ def _scan(caps: np.ndarray, prices: np.ndarray, starts, demands):
     den = np.where(target > base, caps[end - 1], 1)
     # Room b leaves covered[end] - target of its capacity unused.
     num = gas * den - prices[end - 1] * (covered[end] - target)
-    return end, num, den, gas
+    return end, num, den, gas, covered
 
 
-def _repaired_bound(caps: np.ndarray, prices: np.ndarray, offsets, demands, end, gas) -> np.ndarray:
+def _repaired_bound(caps: np.ndarray, prices: np.ndarray, covered, offsets, demands, end, gas) -> np.ndarray:
     """UB, an int64 array: the cheapest of three covers of each vertex of
     `_scan` (rooms offsets[v]..offsets[v+1]-1, greedy cover ending at end[v]).
 
@@ -162,7 +162,6 @@ def _repaired_bound(caps: np.ndarray, prices: np.ndarray, offsets, demands, end,
     """
     offsets, demands = np.asarray(offsets), np.asarray(demands)
     starts, sizes = offsets[:-1], np.diff(offsets)
-    covered = np.concatenate(([0], np.cumsum(caps)))
     target = covered[starts] + demands
     b = end - 1
     # Per room: r and the excess of its vertex, and whether it is b or after it.
@@ -183,7 +182,7 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     """
     instance.require_feasible()
     order, caps, prices = _greedy(instance, range(instance.n_rooms))
-    end, num, den, _ = _scan(caps, prices, [0], [instance.demand])
+    end, num, den, _, _ = _scan(caps, prices, [0], [instance.demand])
     end = int(end[0])
     partial = int(caps[:end].sum()) > instance.demand
     order = order[:end].tolist()
@@ -257,8 +256,8 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     if demand == 0:
         return (), 0
     _, greedy_caps, greedy_prices = _greedy(instance, range(n))
-    end, _, _, gas = _scan(greedy_caps, greedy_prices, [0], [demand])
-    ub = int(_repaired_bound(greedy_caps, greedy_prices, [0, n], [demand], end, gas)[0])
+    end, _, _, gas, covered = _scan(greedy_caps, greedy_prices, [0], [demand])
+    ub = int(_repaired_bound(greedy_caps, greedy_prices, covered, [0, n], [demand], end, gas)[0])
     by_cost, width = _dp_axis(n, instance.total_capacity, demand, ub)
 
     # Walking forward and leaving a room out whenever that stays optimal
@@ -408,8 +407,8 @@ def _solve_flat(caps: np.ndarray, prices: np.ndarray, offsets, demands):
     Raises AssertionError where LRS <= DPS <= UB <= GAS fails, UB being
     `_repaired_bound`.
     """
-    end, num, den, gas = _scan(caps, prices, offsets[:-1], demands)
-    ub = _repaired_bound(caps, prices, offsets, demands, end, gas)
+    end, num, den, gas, covered = _scan(caps, prices, offsets[:-1], demands)
+    ub = _repaired_bound(caps, prices, covered, offsets, demands, end, gas)
     dps = ub.copy()
     # DPS is an integer in [LRS, UB]: the DP is needed only where
     # ceil(LRS) < UB, that is where num <= (UB - 1) * den.

@@ -219,6 +219,14 @@ class TestSolve:
         assert code == 2
         assert "exact DP table of 3 rows" in err
 
+    def test_cell_past_int64_exits_2(self, tmp_path, capsys):
+        rooms = tmp_path / "huge.csv"
+        big = 10**32
+        rooms.write_text(f"room,big\n0,{big}\n1,50\nSUM,{big + 50}\nDEMAND,10\n")
+        code, out, err = run(capsys, "solve", str(rooms), "--solver", "lp")
+        assert code == 2 and out == ""
+        assert err.startswith("error: total capacity exceeds")
+
     def test_dp_cost_axis_ends_at_greedy_cost(self, tmp_path, capsys):
         # The budget axis would need 3 x 1,000,000,006 cells; the greedy
         # cover costs 10 and no repair is cheaper, so the cost axis ends at

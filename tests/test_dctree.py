@@ -403,6 +403,58 @@ def test_build_tree_dispatch_validation(r1_instance):
         build_tree(r1_instance, "ternary", GAMMA)
 
 
+SHAPE_FIELDS = ("start", "step", "size", "heights", "left", "right")
+
+
+class TestShape:
+    """The vertex arrays depend only on the algorithm, the room count, the
+    head fraction and min_size, and are shared by every tree that has them."""
+
+    def test_one_room_count_shares_read_only_arrays(self):
+        rng = np.random.default_rng(5)
+        a, b = random_instance(rng, n=24), random_instance(rng, n=24)
+        for algorithm in TREE_ALGORITHMS:
+            tree_a, tree_b = (build_tree(inst, algorithm, GAMMA) for inst in (a, b))
+            for field in SHAPE_FIELDS:
+                assert getattr(tree_a, field) is getattr(tree_b, field)
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(tree_a, field)[0] = 7
+            assert tree_a.demand is not tree_b.demand
+
+    def test_each_parameter_is_part_of_the_key(self):
+        inst = random_instance(np.random.default_rng(7), n=40)
+        base = build_tree(inst, "hlT", GAMMA, Fraction(1, 2), 2)
+        for other in (
+            build_tree(inst, "blT", GAMMA, None, 2),
+            build_tree(inst, "hlT", GAMMA, Fraction(2, 5), 2),
+            build_tree(inst, "hlT", GAMMA, Fraction(1, 2), 4),
+        ):
+            assert other.size is not base.size
+            assert any(
+                getattr(other, field).tolist() != getattr(base, field).tolist()
+                for field in SHAPE_FIELDS
+            )
+
+    @pytest.mark.parametrize("fraction", [None, 0.5, "1/2"])
+    def test_every_spelling_of_one_half_shares_one_shape(self, r1_instance, fraction):
+        half = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2))
+        assert build_tree(r1_instance, "hlT", GAMMA, fraction).start is half.start
+
+    def test_cache_holds_no_instance(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            inst = random_instance(np.random.default_rng(9), n=20)
+            for algorithm in TREE_ALGORITHMS:
+                build_tree(inst, algorithm, GAMMA)
+            alive = weakref.ref(inst)
+            del inst
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 @pytest.mark.parametrize("algorithm", TREE_ALGORITHMS)
 def test_tree_is_freed_without_a_gc_pass(r1_instance, algorithm):
     # A tree in a reference cycle lives until the collector runs, so the

@@ -188,7 +188,7 @@ def _above_gas(caps, prices, offsets, demands, ub, vertices):
 
 
 def _below_lrs(caps, prices, offsets, demands, ub, vertices):
-    _, num, den, _ = solvers._scan(caps, prices, offsets[:-1], demands)
+    _, num, den, _, _ = solvers._scan(caps, prices, offsets[:-1], demands)
     return -(-num[vertices] // den[vertices]) - 1  # ceil(LRS) - 1
 
 
@@ -263,8 +263,8 @@ def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
 def repaired_bound(inst):
     """solvers._repaired_bound of the instance as one vertex."""
     _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
-    end, _, _, gas = solvers._scan(caps, prices, [0], [inst.demand])
-    return int(solvers._repaired_bound(caps, prices, [0, inst.n_rooms], [inst.demand], end, gas)[0])
+    end, _, _, gas, covered = solvers._scan(caps, prices, [0], [inst.demand])
+    return int(solvers._repaired_bound(caps, prices, covered, [0, inst.n_rooms], [inst.demand], end, gas)[0])
 
 
 def _dp_values_of(inst):

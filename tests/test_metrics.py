@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcknap import (
     EfficiencySeries,
@@ -17,6 +19,7 @@ from dcknap import (
     solve_tree,
     solve_triple,
 )
+from dcknap.metrics import ALL_METRICS
 from conftest import random_instance
 
 GAMMA = SortCriterion("specific_weight")
@@ -247,6 +250,45 @@ class TestAverageSeries:
         for h in range(3):
             direct = sum(s.gbe_dps[h] for s in batch) / len(batch)
             assert avg.gbe_dps[h] == direct
+
+
+# Cells as series hold them: ints (DPS, GAS), Fractions of any sign (a SwE
+# falls where a sum shrinks) and the zero of a `_pct` over a zero base.
+CELLS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6),
+    st.just(Fraction(0)),
+    st.just(0),
+)
+
+
+@st.composite
+def series_batches(draw):
+    height = draw(st.integers(0, 4))
+
+    def column(name):
+        length = height if name.startswith("SwE") else height + 1
+        return tuple(draw(st.lists(CELLS, min_size=length, max_size=length)))
+
+    return [
+        EfficiencySeries(**{name.lower(): column(name) for name in ALL_METRICS})
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(series_batches())
+def test_average_is_the_plain_fraction_mean(batch):
+    average = average_series(batch)
+    for name in ALL_METRICS:
+        expected = [
+            sum((Fraction(cell) for cell in cells), Fraction(0)) / len(batch)
+            for cells in zip(*(s.metric(name) for s in batch))
+        ]
+        cells = average.metric(name)
+        assert list(cells) == expected
+        assert all(type(cell) is Fraction for cell in cells)
+        assert [format_2dec(cell) for cell in cells] == [format_2dec(cell) for cell in expected]
 
 
 class TestEfficiencyArray:

@@ -23,6 +23,9 @@ class TestProctorsFromRate:
     def test_exact_division(self):
         assert proctors_from_rate([10], 10) == (1,)
 
+    def test_exact_past_int64(self):
+        assert proctors_from_rate([10**32, 2**64 - 1], 54) == (-(-10**32 // 54), -(-(2**64 - 1) // 54))
+
     def test_rate_below_one_rejected(self):
         with pytest.raises(InvalidParameterError):
             proctors_from_rate([10], 0)
@@ -117,6 +120,12 @@ class TestValidation:
     def test_total_capacity_cap(self):
         with pytest.raises(InvalidParameterError):
             ProblemInstance((2**31, 5), (1, 1), 0)
+
+    # Past int64, and a total whose int64 sum would wrap to -2^62.
+    @pytest.mark.parametrize("caps", [(10**40,), (2**62,) * 3], ids=["past_int64", "wrapping_sum"])
+    def test_huge_capacities_are_refused_by_their_total(self, caps):
+        with pytest.raises(InvalidParameterError, match="total capacity exceeds"):
+            ProblemInstance(caps, (1,) * len(caps), 1)
 
     def test_feasibility_predicate(self):
         assert ProblemInstance((5, 6), (1, 1), 11).is_feasible()
