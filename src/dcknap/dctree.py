@@ -11,8 +11,10 @@ Vertices are numbered in left pre-order, root = 0.
 A tree is integer arrays: every vertex is a strided slice of the root's
 sorted room order (a run for hlT, a residue class for blT), with its demand,
 height and children.  Only the order and the demands depend on the rooms;
-the rest is one cached shape per room count.  `DCTree.nodes` views the tree
-as DCNode objects for display and tests; experiments never build it.
+the rest is one cached shape per room count.  `build_block` grows a block
+of same-shape trees at once, one per row of (trees x rooms) arrays
+(`TreeBlock`); `build_tree` is its one-tree case.  `DCTree.nodes` views a
+tree as DCNode objects for display and tests; experiments never build it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import InvalidParameterError, InvalidPartitionError
 from .model import ProblemInstance
 from .rounding import as_fraction
+from . import solvers
 from .solvers import SortCriterion
 
 ROUNDING_MODES = ("ceil", "floor")
@@ -257,6 +260,78 @@ def _shape(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: in
     return vertices, tuple(parents)
 
 
+@dataclass(eq=False)
+class TreeBlock:
+    """Same-shape decomposition trees, stacked: row t of every
+    (trees x ...) int64 array is tree t.
+
+    Row t of `capacities`, `proctors` and `ranks` (`model.weight_ranks`,
+    comparable within a row) is tree t's instance, by room position;
+    order[t] holds its room positions in the root's sorted order and
+    demand[t] its vertex demands.  The vertex arrays are one read-only
+    shape (`_shape`), as in DCTree.
+    """
+
+    capacities: np.ndarray
+    proctors: np.ndarray
+    ranks: np.ndarray
+    order: np.ndarray
+    demand: np.ndarray
+    start: np.ndarray
+    step: np.ndarray
+    size: np.ndarray
+    heights: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    height: int
+
+
+def block_rows(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: int) -> int:
+    """How many trees of checked parameters (see `TreeParams`) one block
+    holds: as many as fit in `solvers.BLOCK_ROOMS` flat rooms (a tree's
+    vertex sizes summed), at least one."""
+    (_, _, size, _, _, _), _ = _shape(algorithm, n_rooms, fraction, min_size)
+    return max(1, solvers.BLOCK_ROOMS // int(size.sum()))
+
+
+def build_block(capacities, proctors, ranks, demands, params: TreeParams, seeds) -> TreeBlock:
+    """The trees of a block of feasible instances of one room count, one per
+    row of the (instances x rooms) int64 arrays `capacities`, `proctors` and
+    `ranks`, with demands[t] the demand of row t; a `random` sort shuffles
+    row t with seeds[t].
+
+    Only the order and the demands are the instances' own.  Each vertex's
+    capacity is a prefix-sum difference of the sorted capacities (hlT) or
+    its residue class's sum (blT); the demands of all trees are split one
+    level at a time.
+    """
+    trees, n = capacities.shape
+    (start, step, size, heights, left, right), levels = _shape(
+        params.algorithm, n, params.fraction, params.min_size
+    )
+    order = params.sort.orders(capacities, proctors, ranks, seeds)
+    caps = np.take_along_axis(capacities, order, axis=1)  # by place in `order`
+    if params.algorithm == HEAD_LEFT:
+        prefix = np.concatenate((np.zeros((trees, 1), np.int64), np.cumsum(caps, axis=1)), axis=1)
+        capacity = prefix[:, start + size] - prefix[:, start]
+    else:
+        # A blT vertex at depth d holds the residue class start modulo 2^d = step.
+        padded = np.zeros((trees, 1 << (n - 1).bit_length()), np.int64)  # to a power of 2
+        padded[:, :n] = caps
+        sums = [padded.reshape(trees, -1, 1 << d).sum(axis=1) for d in range(len(levels) + 1)]
+        capacity = np.concatenate(sums, axis=1)[:, step - 1 + start]
+    demand = np.zeros((trees, len(size)), np.int64)
+    demand[:, 0] = demands
+    for parents, lefts, rights in levels:
+        demand[:, lefts], demand[:, rights] = split_demand(
+            demand[:, parents], capacity[:, lefts], capacity[:, parents], params.rounding
+        )
+    return TreeBlock(
+        capacities, proctors, ranks, order, demand, start, step, size, heights, left, right,
+        height=len(levels),
+    )
+
+
 def build_tree(
     instance: ProblemInstance,
     algorithm: str,
@@ -265,40 +340,26 @@ def build_tree(
     min_size: int = 2,
     rounding: str = "ceil",
 ) -> DCTree:
-    """Decomposition tree of `instance`; `algorithm` is "hlT" or "blT".
+    """Decomposition tree of `instance`; `algorithm` is "hlT" or "blT": the
+    one-tree case of `build_block`.
 
     The room list is sorted once at the root by `sort`; children inherit
     the order.  hlT puts the leading floor(fraction * size) rooms left
     (`fraction` None means 1/2, see `TreeParams`); blT takes no fraction and
     puts the even positions left, the odd ones right.  A vertex stays a leaf
     once it has at most `min_size` rooms or a child would come out empty.
-
-    Only the order and the demands are the instance's own.  Each vertex's
-    capacity is a prefix-sum difference of the sorted capacities (hlT) or its
-    residue class's sum (blT); the demands are split one level at a time.
     """
     params = TreeParams(algorithm, sort, fraction, min_size, rounding)
     instance.require_feasible()
-    key = (params.algorithm, instance.n_rooms, params.fraction, params.min_size)
-    (start, step, size, heights, left, right), levels = _shape(*key)
-    order = np.array(sort.order(instance), dtype=np.int64)
-    caps = np.array(instance.capacities, dtype=np.int64)[order]  # by place in `order`
-    if params.algorithm == HEAD_LEFT:
-        prefix = np.append(0, np.cumsum(caps))
-        capacity = prefix[start + size] - prefix[start]
-    else:
-        # A blT vertex at depth d holds the residue class start modulo 2^d = step.
-        padded = np.zeros(1 << (len(caps) - 1).bit_length(), np.int64)  # to a power of 2
-        padded[: len(caps)] = caps
-        sums = [padded.reshape(-1, 1 << d).sum(axis=0) for d in range(len(levels) + 1)]
-        capacity = np.concatenate(sums)[step - 1 + start]
-    demand = np.zeros(len(size), np.int64)
-    demand[0] = instance.demand
-    for parents, lefts, rights in levels:
-        demand[lefts], demand[rights] = split_demand(
-            demand[parents], capacity[lefts], capacity[parents], params.rounding
-        )
-    return DCTree(instance, order, start, step, size, demand, heights, left, right, height=len(levels))
+    rows = (instance.capacities, instance.proctors, instance.weight_ranks)
+    capacities, proctors, ranks = (np.asarray(row, np.int64)[None] for row in rows)
+    block = build_block(
+        capacities, proctors, ranks, np.array([instance.demand], np.int64), params, [sort.seed]
+    )
+    return DCTree(
+        instance, block.order[0], block.start, block.step, block.size, block.demand[0],
+        block.heights, block.left, block.right, block.height,
+    )
 
 
 def prune(tree: DCTree, h: int) -> list[DCNode]:

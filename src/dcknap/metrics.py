@@ -14,10 +14,11 @@ and the bound gaps at each height are
     LRE(h) = 100 * (DPS(h) - LRS(h)) / DPS(h)
 
 Everything is exact rational arithmetic; rendering rounds half-up to two
-decimals only at the edge.  `solve_tree` takes every vertex's bounds from
-the `solvers` kernel as integer arrays and sums them per height on arrays:
-DPS and GAS as ints and LRS per distinct denominator, so each height builds
-one Fraction.
+decimals only at the edge.  `solve_trees` takes every vertex's bounds of a
+block of same-shape trees from the `solvers` kernel as integer arrays and
+sums them per tree and height on arrays: DPS and GAS as ints and LRS per
+distinct denominator of the tree, so each height builds one Fraction.
+`solve_tree` is its one-tree case.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dctree import DCTree
+from .dctree import DCTree, TreeBlock
 from .dctree import prune  # noqa: F401  a binding perfbench/spans.py traces
 from .errors import InvalidParameterError
 from .rounding import as_fraction
-from .solvers import solve_vertices
+from .solvers import solve_block, solve_vertices
 from .solvers import solve_triple  # noqa: F401  a binding perfbench/spans.py traces
 
 #: Quality metrics aggregated when strategies are compared.
@@ -120,32 +121,64 @@ def _fraction_sum(nums, dens, count: int = 1) -> Fraction:
 
 
 def solve_tree(tree: DCTree) -> EfficiencySeries:
-    """Solve every node of the tree and compute the per-height series.
+    """Solve every node of the tree and compute the per-height series: the
+    one-tree case of `solve_trees`."""
+    columns = solve_vertices(tree.instance, tree.order, tree.start, tree.step, tree.size, tree.demand)
+    rows = (column[None] for column in columns)
+    return _block_series(*rows, tree.left < 0, tree.heights, tree.height)[0]
 
-    All vertices are solved in one scan over flat arrays (`solve_vertices`),
-    with no sub-instance per vertex.  At height h a vertex counts when it
-    sits at h or is a leaf above h, so each series is the per-height sums of
-    inner vertices plus the running per-height sums of leaves.  LRS
-    numerators are summed per (height, distinct denominator) in int64: for
-    one denominator d the numerators of any set of disjoint vertices total
-    at most d * (total proctors) < 2^62.
-    """
-    num, den, dps_v, gas_v = solve_vertices(
-        tree.instance, tree.order, tree.start, tree.step, tree.size, tree.demand
+
+def solve_trees(block: TreeBlock) -> list[EfficiencySeries]:
+    """The per-height series of every tree of a block, in row order, from
+    one pass of the `solvers` kernel over all its vertices, with no
+    sub-instance per vertex."""
+    columns = solve_block(
+        block.capacities, block.proctors, block.ranks, block.order,
+        block.start, block.step, block.size, block.demand,
     )
-    dens, den_at = np.unique(den, return_inverse=True)
-    # sums[leaf, h, column]: LRS numerators per denominator, then DPS and GAS.
-    sums = np.zeros((2, tree.height + 1, len(dens) + 2), np.int64)
-    at = ((tree.left < 0).astype(np.intp), tree.heights)
-    np.add.at(sums, (*at, den_at), num)
-    np.add.at(sums, (*at, len(dens)), dps_v)
-    np.add.at(sums, (*at, len(dens) + 1), gas_v)
-    sums = sums[0] + np.cumsum(sums[1], axis=0)
+    return _block_series(*columns, block.left < 0, block.heights, block.height)
 
-    heights = range(tree.height + 1)
-    dens = dens.tolist()
-    lrs = [_fraction_sum(row, dens) for row in sums[:, :-2].tolist()]
-    dps, gas = sums[:, -2].tolist(), sums[:, -1].tolist()
+
+def _block_series(num, den, dps, gas, leaf, heights, height: int) -> list[EfficiencySeries]:
+    """Series of each row of the kernel's (trees x vertices) arrays, LRS
+    being num / den, for trees of one shape: `leaf` and `heights` by vertex.
+
+    At height h a vertex counts when it sits at h or is a leaf above h, so
+    each series is the per-height sums of inner vertices plus the running
+    per-height sums of leaves.  LRS numerators are summed per (tree, height,
+    distinct denominator of the tree) in int64: for one denominator d the
+    numerators of any set of disjoint vertices total at most
+    d * (total proctors) < 2^62.  DPS and GAS are summed as ints, and each
+    height builds one Fraction.
+    """
+    trees = len(num)
+    # Number each tree's distinct denominators from 0: tree t's keys lie in
+    # [t * base, (t + 1) * base).
+    base = int(den.max()) + 1
+    tree_base = np.arange(trees, dtype=np.int64)[:, None] * base
+    keys, den_at = np.unique(den + tree_base, return_inverse=True)
+    first = np.searchsorted(keys, tree_base[:, 0]).tolist() + [len(keys)]
+    den_at = den_at.reshape(den.shape) - np.array(first[:-1])[:, None]
+    width = max(b - a for a, b in zip(first, first[1:]))
+    # sums[tree, leaf, h, column]: LRS numerators per denominator, then DPS and GAS.
+    sums = np.zeros((trees, 2, height + 1, width + 2), np.int64)
+    at = (np.arange(trees)[:, None], leaf.astype(np.intp), heights)
+    np.add.at(sums, (*at, den_at), num)
+    np.add.at(sums, (*at, width), dps)
+    np.add.at(sums, (*at, width + 1), gas)
+    sums = sums[:, 0] + np.cumsum(sums[:, 1], axis=1)
+
+    series = []
+    for t, rows in enumerate(sums.tolist()):
+        dens = (keys[first[t] : first[t + 1]] - t * base).tolist()
+        lrs = [_fraction_sum(row[: len(dens)], dens) for row in rows]
+        series.append(_series(lrs, [row[-2] for row in rows], [row[-1] for row in rows]))
+    return series
+
+
+def _series(lrs: list, dps: list, gas: list) -> EfficiencySeries:
+    """The efficiency series of per-height LRS, DPS and GAS sums."""
+    heights = range(len(dps))
     columns = {
         "LRS": tuple(lrs),
         "DPS": tuple(dps),

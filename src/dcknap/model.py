@@ -40,21 +40,13 @@ class ProblemInstance:
             raise InvalidParameterError("an instance needs at least one room")
         if len(self.proctors) != n:
             raise InvalidParameterError("capacities and proctors must have equal length")
-        if min(self.capacities) < 1:
-            raise InvalidParameterError("all capacities must be >= 1")
-        if min(self.proctors) < 1:
-            raise InvalidParameterError("all proctor counts must be >= 1")
-        if self.demand < 0:
-            raise InvalidParameterError("demand must be >= 0")
         # Python-int sums: exact for any value, where an int64 sum could wrap.
-        for name, total in (
-            ("capacity", self.total_capacity),
-            ("proctor count", self.total_proctors),
-        ):
-            if total > MAX_TOTAL_CAPACITY:
-                raise InvalidParameterError(
-                    f"total {name} exceeds the supported limit {MAX_TOTAL_CAPACITY}"
-                )
+        broken = _broken(
+            min(self.capacities), min(self.proctors), self.demand,
+            self.total_capacity, self.total_proctors,
+        )
+        if broken.any():
+            raise InvalidParameterError(_CONDITIONS[broken.argmax()])
 
     @property
     def n_rooms(self) -> int:
@@ -70,32 +62,9 @@ class ProblemInstance:
 
     @cached_property
     def weight_ranks(self) -> np.ndarray:
-        """Dense rank of each room's specific weight capacity / proctors, 0 for
-        the largest; rooms with equal ratios share a rank.  Computed once, as
-        a read-only int64 array.
-
-        Exact on integers: each pair is reduced by its gcd, so equal ratios
-        become one distinct pair (c << 31 | p, both below 2^31), and the
-        distinct ratios are ordered by their float quotient.  Correctly
-        rounded division never inverts an exact order; where one float covers
-        several ratios, those are ordered by c1 * p2 against c2 * p1 (< 2^62).
-        """
-        c, p = np.array(self.capacities, np.int64), np.array(self.proctors, np.int64)
-        g = np.gcd(c, p)
-        pairs, room_pair = np.unique((c // g) << 31 | p // g, return_inverse=True)
-        c, p = pairs >> 31, pairs & (2**31 - 1)
-        ratio = c / p
-        order = np.argsort(-ratio)
-        edges = np.flatnonzero(np.diff(ratio[order])) + 1
-        lo, hi = np.append(0, edges), np.append(edges, len(order))
-        for a, b in zip(lo[hi - lo > 1].tolist(), hi[hi - lo > 1].tolist()):
-            tie = order[a:b]
-            # Place each tied ratio by how many of the others are larger.
-            larger = c[tie, None] * p[tie] < c[tie] * p[tie, None]
-            order[a:b] = tie[np.argsort(larger.sum(axis=1))]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        rank = rank[room_pair]
+        """`weight_ranks` of the instance's rooms, computed once, as a
+        read-only int64 array."""
+        rank = weight_ranks(self.capacities, self.proctors)
         rank.flags.writeable = False
         return rank
 
@@ -105,6 +74,78 @@ class ProblemInstance:
     def require_feasible(self):
         if not self.is_feasible():
             raise InfeasibleError(self.demand, self.total_capacity)
+
+
+_CONDITIONS = (
+    "all capacities must be >= 1",
+    "all proctor counts must be >= 1",
+    "demand must be >= 0",
+    f"total capacity exceeds the supported limit {MAX_TOTAL_CAPACITY}",
+    f"total proctor count exceeds the supported limit {MAX_TOTAL_CAPACITY}",
+)
+
+
+def _broken(min_capacity, min_proctors, demand, total_capacity, total_proctors) -> np.ndarray:
+    """Whether each instance breaks each of `_CONDITIONS`, a (conditions x
+    instances) bool array.  Each argument holds that value of every
+    instance: one int, or an int64 array over a block."""
+    return np.array([
+        np.less(min_capacity, 1),
+        np.less(min_proctors, 1),
+        np.less(demand, 0),
+        np.greater(total_capacity, MAX_TOTAL_CAPACITY),
+        np.greater(total_proctors, MAX_TOTAL_CAPACITY),
+    ]).reshape(len(_CONDITIONS), -1)
+
+
+def require_instances(capacities: np.ndarray, proctors: np.ndarray, demands: np.ndarray) -> None:
+    """Raise what ProblemInstance(capacities[t], proctors[t], demands[t]) and
+    its `require_feasible` raise for the first row t that fails, checking
+    each condition once over a block: (instances x rooms) int64 arrays
+    whose row sums stay below 2^63, and one demand per row."""
+    totals = capacities.sum(axis=1)
+    broken = np.vstack((
+        _broken(capacities.min(axis=1), proctors.min(axis=1), demands, totals, proctors.sum(axis=1)),
+        demands > totals,
+    ))
+    if broken.any():
+        t = int(broken.any(axis=0).argmax())
+        condition = int(broken[:, t].argmax())
+        if condition == len(_CONDITIONS):
+            raise InfeasibleError(int(demands[t]), int(totals[t]))
+        raise InvalidParameterError(_CONDITIONS[condition])
+
+
+def weight_ranks(capacities, proctors) -> np.ndarray:
+    """Dense rank of each room's specific weight capacity / proctors, 0 for
+    the largest, as an int64 array of the arguments' shape; rooms with equal
+    ratios share a rank.  Every entry is ranked against every other, so on
+    a block of instances, one per row, each row is ordered as by its own
+    rank.  Both values of a room are integers in [1, 2^31).
+
+    Exact on integers: each pair is reduced by its gcd, so equal ratios
+    become one distinct pair (c << 31 | p), and the distinct ratios are
+    ordered by their float quotient.  Correctly rounded division never
+    inverts an exact order; where one float covers several ratios, those
+    are ordered by c1 * p2 against c2 * p1 (< 2^62).
+    """
+    c, p = np.asarray(capacities, np.int64), np.asarray(proctors, np.int64)
+    g = np.gcd(c, p)
+    pairs, room_pair = np.unique((c // g) << 31 | p // g, return_inverse=True)
+    shape = c.shape
+    c, p = pairs >> 31, pairs & (2**31 - 1)
+    ratio = c / p
+    order = np.argsort(-ratio)
+    edges = np.flatnonzero(np.diff(ratio[order])) + 1
+    lo, hi = np.append(0, edges), np.append(edges, len(order))
+    for a, b in zip(lo[hi - lo > 1].tolist(), hi[hi - lo > 1].tolist()):
+        tie = order[a:b]
+        # Place each tied ratio by how many of the others are larger.
+        larger = c[tie, None] * p[tie] < c[tie] * p[tie, None]
+        order[a:b] = tie[np.argsort(larger.sum(axis=1))]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))  # `order` is a permutation: every cell is set
+    return rank[room_pair].reshape(shape)
 
 
 def proctors_from_rate(capacities, rate: int) -> tuple[int, ...]:

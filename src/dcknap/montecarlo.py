@@ -6,7 +6,9 @@ redrawn on a zero draw), and the demand of a realization is
 floor(occupancy * total capacity).
 
 Every random stream is derived from a single master seed with a stable
-SHA-256 construction, so experiments are reproducible byte for byte.
+SHA-256 construction, so experiments are reproducible byte for byte.  An
+experiment draws its realizations one index at a time and solves them in
+blocks of consecutive indices, one array pass per block.
 """
 
 from __future__ import annotations
@@ -18,10 +20,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dctree import HEAD_LEFT, TreeParams, build_tree
+from .dctree import HEAD_LEFT, TreeParams, block_rows, build_block
+from .dctree import build_tree  # noqa: F401  a binding perfbench/spans.py traces
 from .errors import InvalidParameterError
-from .metrics import EfficiencySeries, average_series, solve_tree
-from .model import MAX_TOTAL_CAPACITY, ProblemInstance, proctors_from_rate
+from .metrics import EfficiencySeries, average_series, solve_trees
+from .metrics import solve_tree  # noqa: F401  a binding perfbench/spans.py traces
+from .model import (
+    MAX_TOTAL_CAPACITY,
+    ProblemInstance,
+    proctors_from_rate,
+    require_instances,
+    weight_ranks,
+)
 from .rounding import as_fraction
 from .solvers import SORT_KEYS, SortCriterion
 
@@ -176,39 +186,51 @@ class ExperimentResult:
     series: tuple[EfficiencySeries, ...]  # per realization, in index order
 
 
-def _realization_series(params: ExperimentParams, index: int) -> EfficiencySeries:
-    """Series of realization `index`: sample, build its tree and solve it.
+def _realization_series(params: ExperimentParams, indices: range) -> list[EfficiencySeries]:
+    """Series of the realizations `indices`, as one block of same-shape
+    trees: each is drawn as `seeded_realization` draws it, then all are
+    checked, ranked, sorted, split, solved and summed together.
 
     A split never overloads a child (see `split_demand`), so every draw is
     used.  The 0 in the sort seed is part of the seed format, as in
     `seeded_realization`.
     """
-    realization = seeded_realization(
-        params.dist, params.n_rooms, params.occupancy, params.master_seed, index
+    realizations = [
+        seeded_realization(params.dist, params.n_rooms, params.occupancy, params.master_seed, i)
+        for i in indices
+    ]
+    capacities = np.array([r.capacities for r in realizations], np.int64)
+    demands = np.array([r.demand for r in realizations], np.int64)
+    # `proctors_from_rate` in int64: a room of a valid row holds at most
+    # MAX_TOTAL_CAPACITY, so any larger rate gives it one proctor, as that does.
+    proctors = -(-capacities // min(params.rate, MAX_TOTAL_CAPACITY))
+    require_instances(capacities, proctors, demands)
+    if params.sort.key == "random" and params.sort.seed is None:
+        seeds = [derive_seed(params.master_seed, i, 0, "sort") for i in indices]
+    else:
+        seeds = [params.sort.seed] * len(indices)
+    tree = TreeParams(
+        params.tree_alg, params.sort, params.head_fraction, params.min_size, params.rounding
     )
-    instance = build_instance(realization, params.rate)
-    sort = params.sort
-    if sort.key == "random" and sort.seed is None:
-        sort = replace(sort, seed=derive_seed(params.master_seed, index, 0, "sort"))
-    tree = build_tree(
-        instance,
-        params.tree_alg,
-        sort,
-        fraction=params.head_fraction,
-        min_size=params.min_size,
-        rounding=params.rounding,
+    block = build_block(
+        capacities, proctors, weight_ranks(capacities, proctors), demands, tree, seeds
     )
-    return solve_tree(tree)
+    return solve_trees(block)
 
 
 def run_experiment(params: ExperimentParams) -> ExperimentResult:
     """Run all realizations of one experiment and average the series.
 
+    Realizations are solved in blocks of consecutive indices (`block_rows`),
+    so memory depends on the block, not on the number of realizations.
     Output is a pure function of `params`: realizations are seeded by index
     and reduced in index order.
     """
-    series = tuple(_realization_series(params, i) for i in range(params.realizations))
-    return ExperimentResult(average_series(series), series)
+    rows = block_rows(params.tree_alg, params.n_rooms, params.head_fraction, params.min_size)
+    series = []
+    for first in range(0, params.realizations, rows):
+        series += _realization_series(params, range(first, min(first + rows, params.realizations)))
+    return ExperimentResult(average_series(series), tuple(series))
 
 
 def default_domain(variable: str):

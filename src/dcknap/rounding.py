@@ -58,9 +58,14 @@ def round_half_up(value, digits: int = 2) -> Fraction:
 
 
 def format_2dec(value) -> str:
-    """Render a number the way the result tables print it: 2 decimals."""
-    n = round_half_up(value, 2) * 100
-    n = int(n)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // 100}.{n % 100:02d}"
+    """Render a number the way the result tables print it: 2 decimals,
+    rounded as `round_half_up` rounds, in integers.
+
+    round(|x| * 100) half up is floor((200 * |n| + d) / (2 * d)) for
+    x = n / d, and the sign is printed only when that is not 0.
+    """
+    x = value if isinstance(value, Rational) else as_fraction(value)
+    n, d = x.numerator, x.denominator
+    q = (abs(n) * 200 + d) // (2 * d)
+    sign = "-" if n < 0 and q else ""
+    return f"{sign}{q // 100}.{q % 100:02d}"

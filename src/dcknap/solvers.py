@@ -8,22 +8,23 @@
 * linear-relaxation lower bound (LRS): closed form, at most one fractional
   room, computed exactly as a Fraction.
 
-Specific weights are compared by the instance's exact rank,
-`ProblemInstance.weight_ranks`, computed once per instance and read by both
-the `specific_weight` sort and `_greedy`, the one greedy order.  LRS and
-GAS come from one cumulative-sum scan in that order.  `_repaired_bound`
-turns GAS into UB, the cheaper of GAS and its one-room repairs (swap the
-break room, drop a spare room); UB is internal, bounds the cost axis of
-every DP, and LRS <= DPS <= UB <= GAS.  `solve_vertices`, the tree kernel,
-gathers a tree's vertices from their strided slices of its root order, lays
-them end to end in one flat array, each in greedy order, and returns every
-vertex's LRS (as an integer numerator and denominator), DPS and GAS as
-int64 arrays: one `cumsum` and one `searchsorted` give every bound, two
-masked `reduceat`s the repairs, and one value-only DP per tree,
-`_dp_values`, runs only where ceil(LRS) < UB:
+Specific weights are compared by an exact rank, `model.weight_ranks`:
+ranked once per block of trees (or once per instance, cached as
+`ProblemInstance.weight_ranks`) and read by both the `specific_weight` sort
+and the greedy order.  LRS and GAS come from one cumulative-sum scan in
+that order.  `_repaired_bound` turns GAS into UB, the cheaper of GAS and its
+one-room repairs (swap the break room, drop a spare room); UB is internal,
+bounds the cost axis of every DP, and LRS <= DPS <= UB <= GAS.
+`solve_block`, the tree kernel, takes a block of same-shape trees (at most
+`BLOCK_ROOMS` flat rooms), gathers every vertex from its strided slice of
+its tree's root order, lays them all end to end in one flat array, each in
+greedy order, and returns every vertex's LRS (as an integer numerator and
+denominator), DPS and GAS as int64 arrays: one `cumsum` and one
+`searchsorted` give every bound, two masked `reduceat`s the repairs, and
+one value-only DP per block, `_dp_values`, runs only where ceil(LRS) < UB:
 vertices of one axis and width class roll their rows as one matrix, one
 max-plus step per distinct room weight per batch, the largest group of
-each batch a gather.
+each batch a gather.  `solve_vertices` is its one-tree case.
 `solve_triple`, `lp_relax_solve` and `dp_solve` run the same scan on one
 vertex.
 """
@@ -45,6 +46,11 @@ DP_MAX_CELLS = 1 << 28
 
 # Largest temporary of one grouped value-only DP step, in int32 cells (128 KiB).
 _GROUP_CELLS = 1 << 15
+
+#: Most flat rooms (the vertex sizes of its trees, summed) in one block of
+#: same-shape trees that the kernel solves at once; a tree larger than this
+#: is a block of its own.
+BLOCK_ROOMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,20 +74,28 @@ class SortCriterion:
             raise InvalidParameterError(f"sort seed must be >= 0, got {self.seed}")
 
     def order(self, instance: ProblemInstance) -> list[int]:
-        """Room positions of `instance` in sorted order."""
-        n = instance.n_rooms
+        """Room positions of `instance` in sorted order: `orders` on one row."""
+        rows = (instance.capacities, instance.proctors, instance.weight_ranks)
+        capacities, proctors, ranks = (np.asarray(row, np.int64)[None] for row in rows)
+        return self.orders(capacities, proctors, ranks, [self.seed])[0].tolist()
+
+    def orders(self, capacities, proctors, ranks, seeds) -> np.ndarray:
+        """Room positions of each row of a block in sorted order, an int64
+        (instances x rooms) array: row t of `capacities`, `proctors` and
+        `ranks` (`model.weight_ranks`) is instance t, and the `random` key
+        shuffles row t with seeds[t]."""
         if self.key == "random":
-            if self.seed is None:
+            if None in seeds:
                 raise InvalidParameterError("random sorting requires a seed")
-            rng = np.random.default_rng(self.seed)
-            return [int(i) for i in rng.permutation(n)]
+            n = capacities.shape[1]
+            return np.array([np.random.default_rng(seed).permutation(n) for seed in seeds], np.int64)
         if self.key == "specific_weight":
-            keys = instance.weight_ranks
+            keys = ranks
         elif self.key == "proctors":
-            keys = np.negative(instance.proctors)
+            keys = np.negative(proctors)
         else:
-            keys = np.negative(instance.capacities)
-        return np.argsort(keys, kind="stable").tolist()  # stable: ties by position
+            keys = np.negative(capacities)
+        return np.argsort(keys, axis=1, kind="stable")  # stable: ties by position
 
 
 @dataclass(frozen=True)
@@ -434,27 +448,49 @@ def solve_triple(instance: ProblemInstance) -> SolutionTriple:
 
 
 def solve_vertices(instance: ProblemInstance, order, start, step, size, demand):
-    """The tree kernel: (num, den, DPS, GAS) int64 arrays indexed like the
-    vertex arrays, LRS being num / den, without building a sub-instance.
+    """`solve_block` on one tree: (num, den, DPS, GAS) int64 arrays indexed
+    like the vertex arrays, for the room positions `order` of `instance` in
+    root order and the vertex demands `demand`."""
+    rows = (instance.capacities, instance.proctors, instance.weight_ranks, order, demand)
+    capacities, proctors, ranks, order, demand = (np.asarray(row, np.int64)[None] for row in rows)
+    columns = solve_block(capacities, proctors, ranks, order, start, step, size, demand)
+    return tuple(column[0] for column in columns)
 
-    `order` holds room positions of `instance`; vertex v has the rooms
-    order[start[v] + step[v] * i], i < size[v], and a feasible demand[v].
-    Its greedy order sorts its rooms by specific weight, ties by place in
-    the vertex and so in `order`.  One ranking of `order` by (weight rank,
-    place) therefore gives every vertex its greedy order, and one sort of
-    the keys vertex * len(order) + greedy place lays all vertices end to end
-    for one scan.
+
+def solve_block(capacities, proctors, ranks, order, start, step, size, demand):
+    """The tree kernel on a block of same-shape trees: (num, den, DPS, GAS)
+    int64 (trees x vertices) arrays, LRS being num / den, without building a
+    sub-instance.
+
+    Row t of the (trees x rooms) arrays `capacities`, `proctors` and `ranks`
+    (`model.weight_ranks`, comparable within a row) is tree t's instance and
+    order[t] its room positions in root order; vertex v of tree t has the
+    rooms order[t, start[v] + step[v] * i], i < size[v], and a feasible
+    demand[t, v].  Its greedy order sorts its rooms by specific weight, ties
+    by place in the vertex and so in order[t].  One ranking of each row by
+    (weight rank, place) therefore gives every vertex its greedy order; a
+    row whose ranks already ascend (the specific-weight sort) is its own
+    ranking.  One sort of the keys vertex * rooms + greedy place per row
+    lays a tree's vertices end to end, and the trees follow each other, for
+    one scan.
     """
-    greedy, caps, prices = _greedy(instance, order)
-    m = len(greedy)
-    place = np.empty(instance.n_rooms, dtype=np.int64)
-    place[greedy] = np.arange(m)
-    size = np.asarray(size)
+    trees, n = order.shape
+    row = np.arange(0, trees * n, n)[:, None]  # each row's first cell, raveled
+    order = order + row  # cells of the raveled (trees x rooms) arrays
     first = np.cumsum(size) - size
     local = np.arange(int(size.sum())) - np.repeat(first, size)  # place in the vertex
-    at = place[np.asarray(order)[np.repeat(start, size) + np.repeat(step, size) * local]]
-    at += np.repeat(np.arange(len(size), dtype=np.int64) * m, size)
-    at.sort()
-    at %= m
-    offsets = np.append(0, np.cumsum(size))
-    return _solve_flat(caps[at], prices[at], offsets, np.asarray(demand))
+    at = np.repeat(start, size) + np.repeat(step, size) * local  # place in order[t]
+    keys = ranks.ravel()[order]
+    if (np.diff(keys, axis=1) < 0).any():
+        by_rank = np.argsort(keys, axis=1, kind="stable") + row
+        order = order.ravel()[by_rank]  # each row's greedy order
+        place = np.empty(trees * n, np.int64)  # by_rank holds every cell once: each is set
+        place[by_rank] = np.arange(n)
+        base = np.repeat(np.arange(len(size), dtype=np.int64) * n, size)
+        at = np.sort(place[at + row] + base, axis=1) - base
+    rooms = order.ravel()[at + row].ravel()
+    caps, prices = capacities.ravel()[rooms], proctors.ravel()[rooms]
+    del at, rooms  # free before the DP
+    offsets = np.append(0, np.cumsum(np.tile(size, trees)))
+    columns = _solve_flat(caps, prices, offsets, demand.ravel())
+    return tuple(column.reshape(trees, -1) for column in columns)

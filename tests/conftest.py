@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dcknap import DCNode, ProblemInstance, SizeLimitError, proctors_from_rate, split_demand
+from dcknap import (
+    DCNode,
+    ProblemInstance,
+    SizeLimitError,
+    build_instance,
+    build_tree,
+    derive_seed,
+    proctors_from_rate,
+    solve_tree,
+    split_demand,
+)
 from dcknap.dctree import HEAD_LEFT, TreeParams
+from dcknap.montecarlo import seeded_realization
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -115,6 +127,28 @@ def reference_nodes(instance, algorithm, sort, fraction=None, min_size=2, roundi
 
     grow(sort.order(instance), instance.demand, 0)
     return nodes
+
+
+def reference_realization_series(params, index):
+    """Series of realization `index` of an experiment, one tree at a time:
+    an instance, a tree and a solve per realization, as `run_experiment`
+    must reproduce with its blocks."""
+    realization = seeded_realization(
+        params.dist, params.n_rooms, params.occupancy, params.master_seed, index
+    )
+    instance = build_instance(realization, params.rate)
+    sort = params.sort
+    if sort.key == "random" and sort.seed is None:
+        sort = replace(sort, seed=derive_seed(params.master_seed, index, 0, "sort"))
+    tree = build_tree(
+        instance,
+        params.tree_alg,
+        sort,
+        fraction=params.head_fraction,
+        min_size=params.min_size,
+        rounding=params.rounding,
+    )
+    return solve_tree(tree)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

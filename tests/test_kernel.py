@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcknap import (
+    ExperimentParams,
     ProblemInstance,
     SortCriterion,
     build_instance,
@@ -24,9 +25,10 @@ from dcknap import (
     greedy_solve,
     lp_relax_solve,
     proctors_from_rate,
+    run_experiment,
     solve_tree,
 )
-from dcknap import solvers
+from dcknap import model, montecarlo, solvers
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, prune
 from dcknap.montecarlo import derive_seed, seeded_realization
 from dcknap.solvers import SORT_KEYS, solve_vertices
@@ -248,15 +250,24 @@ def test_weight_ranks_are_dense_and_exact():
 
 @pytest.mark.parametrize("algorithm", TREE_ALGORITHMS)
 def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
-    # The tree's sort and the kernel's greedy order read one cached rank.
-    prop = ProblemInstance.__dict__["weight_ranks"]
+    # An experiment's sort and the kernel's greedy order read one rank per
+    # block of trees; a single tree's read its instance's one cached rank.
     ranked = []
-    rank = prop.func
-    monkeypatch.setattr(prop, "func", lambda inst: ranked.append(inst) or rank(inst))
+    rank = model.weight_ranks
+
+    def spy(capacities, proctors):
+        ranked.append(np.shape(capacities))
+        return rank(capacities, proctors)
+
+    for module in (model, montecarlo):
+        monkeypatch.setattr(module, "weight_ranks", spy)
+    run_experiment(ExperimentParams(n_rooms=64, tree_alg=algorithm, realizations=3, master_seed=2024))
+    assert ranked == [(3, 64)]
+    ranked.clear()
     realization = seeded_realization("uniform", 64, Fraction(9, 10), 2024, 0)
     inst = build_instance(realization, 54)
     solve_tree(build_tree(inst, algorithm, SortCriterion("specific_weight"), min_size=4))
-    assert len(ranked) == 1 and ranked[0] is inst
+    assert ranked == [(64,)]
     assert inst.weight_ranks is inst.weight_ranks and not inst.weight_ranks.flags.writeable
 
 

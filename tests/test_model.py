@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcknap import (
+    InfeasibleError,
     InvalidParameterError,
     ProblemInstance,
     proctors_from_rate,
 )
+from dcknap.model import require_instances, weight_ranks
 
 
 class TestProctorsFromRate:
@@ -95,6 +97,18 @@ class TestWeightRanks:
         assert caps[0] / proctors[0] == caps[1] / proctors[1]
         assert ProblemInstance(caps, proctors, 0).weight_ranks.tolist() == [0, 1]
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(rank_rooms(), min_size=1, max_size=5))
+    def test_a_block_ranks_each_row_like_its_own_rank(self, blocks):
+        n = min(len(caps) for caps, _ in blocks)
+        caps = np.array([caps[:n] for caps, _ in blocks])
+        proctors = np.array([proctors[:n] for _, proctors in blocks])
+        ranks = weight_ranks(caps, proctors)
+        assert ranks.shape == caps.shape
+        for row, c, p in zip(ranks, caps.tolist(), proctors.tolist()):
+            # Renumbered densely, a row's block ranks are its own ranks.
+            assert np.unique(row, return_inverse=True)[1].tolist() == fraction_ranks(c, p)
+
 
 class TestValidation:
     def test_length_mismatch(self):
@@ -126,6 +140,28 @@ class TestValidation:
     def test_huge_capacities_are_refused_by_their_total(self, caps):
         with pytest.raises(InvalidParameterError, match="total capacity exceeds"):
             ProblemInstance(caps, (1,) * len(caps), 1)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_a_block_raises_like_its_first_failing_instance(self, data):
+        n, rows = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        values = st.integers(-1, 3) | st.integers(1, 2**33)
+        caps = data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=rows, max_size=rows))
+        proctors = data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=rows, max_size=rows))
+        demands = [data.draw(st.integers(-1, sum(c) + 1)) for c in caps]
+        expected = None
+        for c, p, d in zip(caps, proctors, demands):
+            try:
+                ProblemInstance(c, p, d).require_feasible()
+            except (InvalidParameterError, InfeasibleError) as exc:
+                expected = (type(exc), str(exc))
+                break
+        try:
+            require_instances(np.array(caps), np.array(proctors), np.array(demands))
+            raised = None
+        except (InvalidParameterError, InfeasibleError) as exc:
+            raised = (type(exc), str(exc))
+        assert raised == expected
 
     def test_feasibility_predicate(self):
         assert ProblemInstance((5, 6), (1, 1), 11).is_feasible()

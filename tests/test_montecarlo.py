@@ -1,18 +1,24 @@
+import hashlib
 import io
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcknap import (
     DCNode,
+    DCTree,
     ExperimentParams,
+    ExperimentResult,
     InvalidParameterError,
+    ProblemInstance,
     Realization,
     SortCriterion,
+    average_series,
     build_instance,
     derive_seed,
     dp_solve,
@@ -24,8 +30,12 @@ from dcknap import (
     sweep,
     write_rooms_csv,
 )
-from dcknap import dctree, metrics
-from dcknap.dctree import TREE_ALGORITHMS, build_tree
+from dcknap import dctree, metrics, montecarlo, solvers
+from dcknap.cli import main
+from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, build_tree
+from dcknap.montecarlo import DISTRIBUTIONS
+from dcknap.solvers import SORT_KEYS
+from conftest import reference_realization_series
 
 
 class TestSampling:
@@ -171,20 +181,121 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("tree_alg", TREE_ALGORITHMS)
     def test_builds_no_per_vertex_objects(self, tree_alg, monkeypatch):
-        # Trees stay arrays from the rank to the per-height sums: no DCNode
-        # and no prune, at either binding a caller could look up.
+        # Trees stay arrays from the rank to the per-height sums, a block of
+        # trees at a time: no ProblemInstance, DCTree, DCNode or prune, and no
+        # per-tree build or solve, at any binding a caller could look up.
         calls = []
-        init = DCNode.__init__
-        monkeypatch.setattr(DCNode, "__init__", lambda node, *a, **k: calls.append("DCNode") or init(node, *a, **k))
-        prune = dctree.prune
+
+        def spy(owner, name, label):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(label) or original(*a, **k))
+
+        spy(DCNode, "__init__", "DCNode")
+        spy(DCTree, "__init__", "DCTree")
+        spy(ProblemInstance, "__post_init__", "ProblemInstance")
         for module in (dctree, metrics):
-            monkeypatch.setattr(module, "prune", lambda *a, **k: calls.append("prune") or prune(*a, **k))
+            spy(module, "prune", "prune")
+        for name in ("build_tree", "solve_tree", "build_block", "solve_trees"):
+            spy(montecarlo, name, name)
         params = ExperimentParams(n_rooms=64, tree_alg=tree_alg, realizations=3, master_seed=5)
         assert run_experiment(params).average.height >= 3
-        assert calls == []
+        assert calls == ["build_block", "solve_trees"]  # one block of 3 trees
         # The spy counts: the DCNode view of a tree is built on first use.
+        calls.clear()
         tree = build_tree(build_instance(make_realization("uniform", 64, 1, 5), 54), tree_alg, params.sort)
         assert len(tree.nodes) == calls.count("DCNode") > 1
+
+
+def _flat_rooms(params):
+    """The vertex sizes of one tree of `params`, summed."""
+    (_, _, size, _, _, _), _ = dctree._shape(
+        params.tree_alg, params.n_rooms, params.head_fraction, params.min_size
+    )
+    return int(size.sum())
+
+
+@st.composite
+def experiments(draw):
+    """Small experiments with every tree and sort parameter drawn, rate 1 and
+    a rate past every total included, over 1 to 9 realizations."""
+    tree_alg = draw(st.sampled_from(TREE_ALGORITHMS))
+    fraction = None
+    if tree_alg == "hlT":
+        fraction = draw(st.sampled_from((None, Fraction(7, 20), Fraction(2, 3), Fraction(1, 10))))
+    key = draw(st.sampled_from(SORT_KEYS))
+    seed = draw(st.none() | st.integers(0, 2**32)) if key == "random" else None
+    return ExperimentParams(
+        n_rooms=draw(st.integers(1, 40)),
+        dist=draw(st.sampled_from(DISTRIBUTIONS)),
+        occupancy=draw(st.sampled_from((Fraction(9, 10), Fraction(1))) | st.integers(1, 99).map(lambda k: Fraction(k, 100))),
+        rate=draw(st.sampled_from((1, 54, 2**70)) | st.integers(1, 150)),
+        tree_alg=tree_alg,
+        sort=SortCriterion(key, seed),
+        head_fraction=fraction,
+        min_size=draw(st.sampled_from((1, 2, 4))),
+        rounding=draw(st.sampled_from(ROUNDING_MODES)),
+        realizations=draw(st.integers(1, 9)),
+        master_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestBlocks:
+    """run_experiment solves its realizations in blocks of same-shape trees;
+    the results must be those of one tree at a time."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(experiments(), st.sampled_from((1, 2, 3)))
+    @example(replace(SMALL, realizations=5, sort=SortCriterion("random")), 3)  # a seed per row
+    def test_blocks_match_one_tree_at_a_time(self, params, rows):
+        blocks = []
+        solve = montecarlo._realization_series
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "BLOCK_ROOMS", rows * _flat_rooms(params))
+            mp.setattr(montecarlo, "_realization_series", lambda p, i: blocks.append(len(i)) or solve(p, i))
+            result = run_experiment(params)
+        count = params.realizations
+        assert blocks == [rows] * (count // rows) + [count % rows] * (count % rows > 0)
+        series = tuple(reference_realization_series(params, i) for i in range(count))
+        expected = ExperimentResult(average_series(series), series)
+        assert result == expected
+        assert repr(result) == repr(expected)  # ints stay ints
+
+    def test_memory_does_not_grow_with_realizations(self):
+        # Each realization adds only its series (about 9 KiB here) to the
+        # peak; one block of all 64 trees would add about 17 MiB.
+        params = ExperimentParams(n_rooms=512, master_seed=2024)
+        run_experiment(replace(params, realizations=1))  # the shared tree shape
+        peaks = {}
+        for count in (4, 64):
+            tracemalloc.start()
+            try:
+                run_experiment(replace(params, realizations=count))
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] < peaks[4] + (1 << 20)
+
+    def test_outputs_do_not_depend_on_earlier_runs(self, tmp_path, capsys):
+        # The benchmark's two configs and a blT occupancy grid, forward and
+        # then backward in one interpreter: their trees fill blocks of 4 with
+        # a short last one of 2, blocks of 2, and blocks of 4 and 3.
+        configs = [
+            "n_rooms=512\noccupancy=0.9\nrate=54\ntree_alg=hlT\nmin_size=4\nrealizations=50\n",
+            "n_rooms=1024\ndist=binomial\noccupancy=0.3\nmin_size=32\nrealizations=2\nsweep=s\n",
+            "n_rooms=512\ntree_alg=blT\nmin_size=4\nrealizations=7\nsweep=o\n",
+        ]
+        digests = {}
+        for run, k in enumerate([0, 1, 2, 2, 1, 0]):
+            config = tmp_path / f"config{run}.txt"
+            config.write_text(configs[k] + "master_seed=2024\n")
+            out_dir = tmp_path / f"out{run}"
+            assert main(["experiment", str(config), "--out-dir", str(out_dir)]) == 0
+            digest = hashlib.sha256()
+            for path in sorted(out_dir.iterdir()):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            digests.setdefault(k, set()).add(digest.hexdigest())
+        capsys.readouterr()
+        assert all(len(found) == 1 for found in digests.values())
 
 
 class TestSweep:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcknap import as_fraction, format_2dec, round_half_up
 
@@ -82,3 +84,21 @@ class TestFormat2Dec:
     def test_small_magnitudes_keep_leading_zero(self):
         assert format_2dec(Fraction(1, 250)) == "0.00"
         assert format_2dec(Fraction(1, 100)) == "0.01"
+
+
+def reference_format_2dec(value) -> str:
+    """The Fraction formula format_2dec replaced: round_half_up, then print."""
+    n = int(round_half_up(value, 2) * 100)
+    sign = "-" if n < 0 else ""
+    return f"{sign}{abs(n) // 100}.{abs(n) % 100:02d}"
+
+
+_TIES = st.builds(
+    lambda k, sign: sign * Fraction(2 * k + 1, 200), st.integers(0, 10**6), st.sampled_from((1, -1))
+)  # (k + 1/2) / 100 of either sign
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.integers(-(10**30), 10**30) | st.fractions() | _TIES)
+def test_format_2dec_matches_round_half_up(value):
+    assert format_2dec(value) == reference_format_2dec(value)
