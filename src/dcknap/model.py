@@ -132,7 +132,6 @@ def weight_ranks(capacities, proctors) -> np.ndarray:
     c, p = np.asarray(capacities, np.int64), np.asarray(proctors, np.int64)
     g = np.gcd(c, p)
     pairs, room_pair = np.unique((c // g) << 31 | p // g, return_inverse=True)
-    shape = c.shape
     c, p = pairs >> 31, pairs & (2**31 - 1)
     ratio = c / p
     order = np.argsort(-ratio)
@@ -145,7 +144,7 @@ def weight_ranks(capacities, proctors) -> np.ndarray:
         order[a:b] = tie[np.argsort(larger.sum(axis=1))]
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))  # `order` is a permutation: every cell is set
-    return rank[room_pair].reshape(shape)
+    return rank[room_pair].reshape(np.shape(capacities))
 
 
 def proctors_from_rate(capacities, rate: int) -> tuple[int, ...]:

@@ -148,7 +148,7 @@ class TestValidation:
         values = st.integers(-1, 3) | st.integers(1, 2**33)
         caps = data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=rows, max_size=rows))
         proctors = data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=rows, max_size=rows))
-        demands = [data.draw(st.integers(-1, sum(c) + 1)) for c in caps]
+        demands = [data.draw(st.integers(-1, max(sum(c), 0) + 1)) for c in caps]
         expected = None
         for c, p, d in zip(caps, proctors, demands):
             try:
