@@ -351,11 +351,7 @@ def build_tree(
     """
     params = TreeParams(algorithm, sort, fraction, min_size, rounding)
     instance.require_feasible()
-    rows = (instance.capacities, instance.proctors, instance.weight_ranks)
-    capacities, proctors, ranks = (np.asarray(row, np.int64)[None] for row in rows)
-    block = build_block(
-        capacities, proctors, ranks, np.array([instance.demand], np.int64), params, [sort.seed]
-    )
+    block = build_block(*instance.arrays, np.array([instance.demand], np.int64), params, [sort.seed])
     return DCTree(
         instance, block.order[0], block.start, block.step, block.size, block.demand[0],
         block.heights, block.left, block.right, block.height,

@@ -68,6 +68,15 @@ class ProblemInstance:
         rank.flags.writeable = False
         return rank
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The instance as a block of one: its capacities, proctors and
+        weight ranks as read-only (1 x rooms) int64 arrays, built once."""
+        arrays = (np.array([self.capacities], np.int64), np.array([self.proctors], np.int64))
+        for array in arrays:
+            array.flags.writeable = False
+        return (*arrays, self.weight_ranks[None])
+
     def is_feasible(self) -> bool:
         return self.total_capacity >= self.demand
 

@@ -75,9 +75,7 @@ class SortCriterion:
 
     def order(self, instance: ProblemInstance) -> list[int]:
         """Room positions of `instance` in sorted order: `orders` on one row."""
-        rows = (instance.capacities, instance.proctors, instance.weight_ranks)
-        capacities, proctors, ranks = (np.asarray(row, np.int64)[None] for row in rows)
-        return self.orders(capacities, proctors, ranks, [self.seed])[0].tolist()
+        return self.orders(*instance.arrays, [self.seed])[0].tolist()
 
     def orders(self, capacities, proctors, ranks, seeds) -> np.ndarray:
         """Room positions of each row of a block in sorted order, an int64
@@ -451,9 +449,8 @@ def solve_vertices(instance: ProblemInstance, order, start, step, size, demand):
     """`solve_block` on one tree: (num, den, DPS, GAS) int64 arrays indexed
     like the vertex arrays, for the room positions `order` of `instance` in
     root order and the vertex demands `demand`."""
-    rows = (instance.capacities, instance.proctors, instance.weight_ranks, order, demand)
-    capacities, proctors, ranks, order, demand = (np.asarray(row, np.int64)[None] for row in rows)
-    columns = solve_block(capacities, proctors, ranks, order, start, step, size, demand)
+    order, demand = (np.asarray(row, np.int64)[None] for row in (order, demand))
+    columns = solve_block(*instance.arrays, order, start, step, size, demand)
     return tuple(column[0] for column in columns)
 
 
