@@ -20,6 +20,8 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .dctree import BALANCED, HEAD_LEFT, ROUNDING_MODES, TREE_ALGORITHMS, build_tree, to_dot
 from .errors import ConfigError, InfeasibleError, InvalidParameterError
 from .metrics import (
@@ -147,13 +149,15 @@ def cmd_tree(args) -> int:
         min_size=args.min_size,
         rounding=args.rounding,
     )
+    # member[i, v]: whether vertex v's strided slice holds place i of the root order.
+    member = np.zeros((tree.order.shape[1], len(tree.size)), np.int8)
+    for v, (start, step, size) in enumerate(zip(tree.start.tolist(), tree.step.tolist(), tree.size.tolist())):
+        member[start : start + step * size : step, v] = 1
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["room", *(f"vertex_{node.index}" for node in tree.nodes)])
-    for position in tree.root.rooms:  # rows in root (sorted) order
-        writer.writerow(
-            [position, *(1 if position in node.rooms else 0 for node in tree.nodes)]
-        )
-    writer.writerow(["demand", *(node.demand for node in tree.nodes)])
+    writer.writerow(["room", *(f"vertex_{v}" for v in range(len(tree.size)))])
+    for position, row in zip(tree.order[0].tolist(), member):  # rows in root (sorted) order
+        writer.writerow([position, *row.tolist()])
+    writer.writerow(["demand", *tree.demand[0].tolist()])
     if args.dot_out:
         Path(args.dot_out).write_text(to_dot(tree))
         print(f"wrote DOT to {args.dot_out}", file=sys.stderr)

@@ -8,13 +8,14 @@ left and the odd positions right.  `TreeParams` checks the parameters and
 owns the one default: an hlT tree without a head fraction splits at 1/2.
 Vertices are numbered in left pre-order, root = 0.
 
-A tree is integer arrays: every vertex is a strided slice of the root's
-sorted room order (a run for hlT, a residue class for blT), with its demand,
-height and children.  Only the order and the demands depend on the rooms;
-the rest is one cached shape per room count.  `build_block` grows a block
-of same-shape trees at once, one per row of (trees x rooms) arrays
-(`TreeBlock`); `build_tree` is its one-tree case.  `DCTree.nodes` views a
-tree as DCNode objects for display and tests; experiments never build it.
+A `DCTree` is a block of same-shape trees as integer arrays, one tree per
+row: every vertex is a strided slice of its tree's sorted room order (a run
+for hlT, a residue class for blT), with its demand, height and children.
+Only the orders and the demands depend on the rooms; the rest is one cached
+shape per room count.  `build_block` grows a block at once, one tree per
+row of (trees x rooms) arrays; `build_tree` returns a block of one.
+`DCTree.nodes` views the first tree as DCNode objects for display and
+tests; experiments never build it.
 """
 
 from __future__ import annotations
@@ -140,24 +141,31 @@ class DCNode:
 
 @dataclass(eq=False)
 class DCTree:
-    """A decomposition tree as int64 arrays indexed by pre-order vertex
-    number, root = 0.
+    """Same-shape decomposition trees, stacked: row t of every
+    (trees x ...) int64 array is tree t; `build_tree` gives a block of one.
 
-    Vertex v holds the rooms order[start[v] + step[v] * i], i < size[v]: an
-    hlT vertex is a run of the root order (step 1), a blT vertex at depth d
-    one residue class modulo step 2^d.  An inner vertex's left child is
+    Row t of `capacities`, `proctors` and `ranks` (`model.weight_ranks`,
+    comparable within a row) is tree t's instance, by room position;
+    order[t] holds its room positions in the root's sorted order and
+    demand[t] its vertex demands, by pre-order vertex number, root = 0.
+
+    Vertex v holds the rooms order[t, start[v] + step[v] * i], i < size[v]:
+    an hlT vertex is a run of the root order (step 1), a blT vertex at depth
+    d one residue class modulo step 2^d.  An inner vertex's left child is
     v + 1 and its right child right[v]; a leaf has left[v] = right[v] = -1.
-    `nodes` and `root` give the same tree as DCNode objects, built on first
-    use.  All arrays but `order` and `demand` are read-only and shared by
-    every tree of the same room count and parameters (`_shape`).
+    These vertex arrays are one read-only shape (`_shape`), shared by every
+    tree of the same room count and parameters.  `nodes`, `root` and
+    `subinstance` view the first tree.
     """
 
-    instance: ProblemInstance
-    order: np.ndarray  # room positions of `instance` in the root's sorted order
+    capacities: np.ndarray
+    proctors: np.ndarray
+    ranks: np.ndarray
+    order: np.ndarray
+    demand: np.ndarray
     start: np.ndarray
     step: np.ndarray
     size: np.ndarray
-    demand: np.ndarray
     heights: np.ndarray  # of each vertex
     left: np.ndarray
     right: np.ndarray
@@ -165,10 +173,10 @@ class DCTree:
 
     @cached_property
     def nodes(self) -> list[DCNode]:
-        """The vertices as DCNode objects, in pre-order."""
-        order = self.order.tolist()
+        """The vertices of the first tree as DCNode objects, in pre-order."""
+        order = self.order[0].tolist()
         nodes: list[DCNode] = [None] * len(self.size)
-        columns = (self.start, self.step, self.size, self.demand, self.heights, self.left, self.right)
+        columns = (self.start, self.step, self.size, self.demand[0], self.heights, self.left, self.right)
         # Children come after their parent in pre-order, so build backwards.
         for v, (start, step, size, demand, height, left, right) in reversed(
             list(enumerate(zip(*(column.tolist() for column in columns))))
@@ -188,11 +196,11 @@ class DCTree:
         return self.nodes[0]
 
     def subinstance(self, node: DCNode) -> ProblemInstance:
-        """The covering problem restricted to one node."""
-        inst = self.instance
+        """The covering problem of the first tree restricted to one node."""
+        rooms = list(node.rooms)
         return ProblemInstance(
-            capacities=tuple(inst.capacities[i] for i in node.rooms),
-            proctors=tuple(inst.proctors[i] for i in node.rooms),
+            capacities=self.capacities[0, rooms].tolist(),
+            proctors=self.proctors[0, rooms].tolist(),
             demand=node.demand,
         )
 
@@ -260,32 +268,6 @@ def _shape(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: in
     return vertices, tuple(parents)
 
 
-@dataclass(eq=False)
-class TreeBlock:
-    """Same-shape decomposition trees, stacked: row t of every
-    (trees x ...) int64 array is tree t.
-
-    Row t of `capacities`, `proctors` and `ranks` (`model.weight_ranks`,
-    comparable within a row) is tree t's instance, by room position;
-    order[t] holds its room positions in the root's sorted order and
-    demand[t] its vertex demands.  The vertex arrays are one read-only
-    shape (`_shape`), as in DCTree.
-    """
-
-    capacities: np.ndarray
-    proctors: np.ndarray
-    ranks: np.ndarray
-    order: np.ndarray
-    demand: np.ndarray
-    start: np.ndarray
-    step: np.ndarray
-    size: np.ndarray
-    heights: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    height: int
-
-
 def block_rows(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: int) -> int:
     """How many trees of checked parameters (see `TreeParams`) one block
     holds: as many as fit in `solvers.BLOCK_ROOMS` flat rooms (a tree's
@@ -294,7 +276,7 @@ def block_rows(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size
     return max(1, solvers.BLOCK_ROOMS // int(size.sum()))
 
 
-def build_block(capacities, proctors, ranks, demands, params: TreeParams, seeds) -> TreeBlock:
+def build_block(capacities, proctors, ranks, demands, params: TreeParams, seeds) -> DCTree:
     """The trees of a block of feasible instances of one room count, one per
     row of the (instances x rooms) int64 arrays `capacities`, `proctors` and
     `ranks`, with demands[t] the demand of row t; a `random` sort shuffles
@@ -326,7 +308,7 @@ def build_block(capacities, proctors, ranks, demands, params: TreeParams, seeds)
         demand[:, lefts], demand[:, rights] = split_demand(
             demand[:, parents], capacity[:, lefts], capacity[:, parents], params.rounding
         )
-    return TreeBlock(
+    return DCTree(
         capacities, proctors, ranks, order, demand, start, step, size, heights, left, right,
         height=len(levels),
     )
@@ -340,8 +322,8 @@ def build_tree(
     min_size: int = 2,
     rounding: str = "ceil",
 ) -> DCTree:
-    """Decomposition tree of `instance`; `algorithm` is "hlT" or "blT": the
-    one-tree case of `build_block`.
+    """Decomposition tree of `instance`, a block of one (`build_block`);
+    `algorithm` is "hlT" or "blT".
 
     The room list is sorted once at the root by `sort`; children inherit
     the order.  hlT puts the leading floor(fraction * size) rooms left
@@ -351,15 +333,11 @@ def build_tree(
     """
     params = TreeParams(algorithm, sort, fraction, min_size, rounding)
     instance.require_feasible()
-    block = build_block(*instance.arrays, np.array([instance.demand], np.int64), params, [sort.seed])
-    return DCTree(
-        instance, block.order[0], block.start, block.step, block.size, block.demand[0],
-        block.heights, block.left, block.right, block.height,
-    )
+    return build_block(*instance.arrays, np.array([instance.demand], np.int64), params, [sort.seed])
 
 
 def prune(tree: DCTree, h: int) -> list[DCNode]:
-    """Leaves of the tree cut at height `h`, in pre-order.
+    """Leaves of the first tree cut at height `h`, in pre-order.
 
     A node survives as a leaf if it is a true leaf at height <= h, or an
     inner node sitting exactly at height h.  The returned room sets always
@@ -376,15 +354,13 @@ def prune(tree: DCTree, h: int) -> list[DCNode]:
 
 
 def to_dot(tree: DCTree) -> str:
-    """Graphviz rendering of the tree structure: one node per subproblem."""
+    """Graphviz rendering of the first tree: one node per subproblem."""
     lines = ["digraph dctree {"]
-    for node in tree.nodes:
-        lines.append(
-            f'  v{node.index} [label="D={node.demand} |V|={len(node.rooms)}"];'
-        )
-    for node in tree.nodes:
-        if not node.is_leaf:
-            lines.append(f"  v{node.index} -> v{node.left.index};")
-            lines.append(f"  v{node.index} -> v{node.right.index};")
+    for v, (demand, size) in enumerate(zip(tree.demand[0].tolist(), tree.size.tolist())):
+        lines.append(f'  v{v} [label="D={demand} |V|={size}"];')
+    for v, (left, right) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
+        if left >= 0:
+            lines.append(f"  v{v} -> v{left};")
+            lines.append(f"  v{v} -> v{right};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,10 +15,10 @@ and the bound gaps at each height are
 
 Everything is exact rational arithmetic; rendering rounds half-up to two
 decimals only at the edge.  `solve_trees` takes every vertex's bounds of a
-block of same-shape trees from the `solvers` kernel as integer arrays and
-sums them per tree and height on arrays: DPS and GAS as ints and LRS per
-distinct denominator of the tree, so each height builds one Fraction.
-`solve_tree` is its one-tree case.
+block of same-shape trees (a `DCTree`) from the `solvers` kernel as integer
+arrays and sums them per tree and height on arrays: DPS and GAS as ints and
+LRS per distinct denominator of the tree, so each height builds one
+Fraction.  `solve_tree` gives the series of the first tree.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dctree import DCTree, TreeBlock
+from .dctree import DCTree
 from .dctree import prune  # noqa: F401  a binding perfbench/spans.py traces
 from .errors import InvalidParameterError
 from .rounding import as_fraction
-from .solvers import solve_block, solve_vertices
+from .solvers import solve_block
 from .solvers import solve_triple  # noqa: F401  a binding perfbench/spans.py traces
 
 #: Quality metrics aggregated when strategies are compared.
@@ -121,27 +121,15 @@ def _fraction_sum(nums, dens, count: int = 1) -> Fraction:
 
 
 def solve_tree(tree: DCTree) -> EfficiencySeries:
-    """Solve every node of the tree and compute the per-height series: the
-    one-tree case of `solve_trees`."""
-    columns = solve_vertices(tree.instance, tree.order, tree.start, tree.step, tree.size, tree.demand)
-    rows = (column[None] for column in columns)
-    return _block_series(*rows, tree.left < 0, tree.heights, tree.height)[0]
+    """The per-height series of the first tree, as `solve_trees` gives it;
+    a `build_tree` block has only one."""
+    return solve_trees(tree)[0]
 
 
-def solve_trees(block: TreeBlock) -> list[EfficiencySeries]:
+def solve_trees(tree: DCTree) -> list[EfficiencySeries]:
     """The per-height series of every tree of a block, in row order, from
     one pass of the `solvers` kernel over all its vertices, with no
-    sub-instance per vertex."""
-    columns = solve_block(
-        block.capacities, block.proctors, block.ranks, block.order,
-        block.start, block.step, block.size, block.demand,
-    )
-    return _block_series(*columns, block.left < 0, block.heights, block.height)
-
-
-def _block_series(num, den, dps, gas, leaf, heights, height: int) -> list[EfficiencySeries]:
-    """Series of each row of the kernel's (trees x vertices) arrays, LRS
-    being num / den, for trees of one shape: `leaf` and `heights` by vertex.
+    sub-instance per vertex.
 
     At height h a vertex counts when it sits at h or is a leaf above h, so
     each series is the per-height sums of inner vertices plus the running
@@ -151,6 +139,10 @@ def _block_series(num, den, dps, gas, leaf, heights, height: int) -> list[Effici
     d * (total proctors) < 2^62.  DPS and GAS are summed as ints, and each
     height builds one Fraction.
     """
+    num, den, dps, gas = solve_block(
+        tree.capacities, tree.proctors, tree.ranks, tree.order,
+        tree.start, tree.step, tree.size, tree.demand,
+    )
     trees = len(num)
     # Number each tree's distinct denominators from 0: tree t's keys lie in
     # [t * base, (t + 1) * base).
@@ -161,8 +153,8 @@ def _block_series(num, den, dps, gas, leaf, heights, height: int) -> list[Effici
     den_at = den_at.reshape(den.shape) - np.array(first[:-1])[:, None]
     width = max(b - a for a, b in zip(first, first[1:]))
     # sums[tree, leaf, h, column]: LRS numerators per denominator, then DPS and GAS.
-    sums = np.zeros((trees, 2, height + 1, width + 2), np.int64)
-    at = (np.arange(trees)[:, None], leaf.astype(np.intp), heights)
+    sums = np.zeros((trees, 2, tree.height + 1, width + 2), np.int64)
+    at = (np.arange(trees)[:, None], (tree.left < 0).astype(np.intp), tree.heights)
     np.add.at(sums, (*at, den_at), num)
     np.add.at(sums, (*at, width), dps)
     np.add.at(sums, (*at, width + 1), gas)

@@ -24,9 +24,8 @@ denominator), DPS and GAS as int64 arrays: one `cumsum` and one
 one value-only DP per block, `_dp_values`, runs only where ceil(LRS) < UB:
 vertices of one axis and width class roll their rows as one matrix, one
 max-plus step per distinct room weight per batch, the largest group of
-each batch a gather.  `solve_vertices` is its one-tree case.
-`solve_triple`, `lp_relax_solve` and `dp_solve` run the same scan on one
-vertex.
+each batch a gather.  `solve_triple`, `lp_relax_solve` and `dp_solve` run
+the same scan on one instance.
 """
 
 from __future__ import annotations
@@ -118,31 +117,28 @@ class SolutionTriple:
     gas: int
 
 
-def _greedy(instance: ProblemInstance, order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy order of the room positions in `order`: by descending specific
-    weight, ties by place in `order`; as int64 arrays (positions, capacities,
-    proctors)."""
-    order = np.asarray(order, dtype=np.int64)
-    positions = order[np.argsort(instance.weight_ranks[order], kind="stable")]
-    return (
-        positions,
-        np.array(instance.capacities, dtype=np.int64)[positions],
-        np.array(instance.proctors, dtype=np.int64)[positions],
-    )
+def _greedy(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The instance's rooms in greedy order: by descending specific weight,
+    ties by position; as int64 arrays (positions, capacities, proctors)."""
+    (capacities,), (proctors,), (ranks,) = instance.arrays
+    positions = np.argsort(ranks, kind="stable")
+    return positions, capacities[positions], proctors[positions]
 
 
 def _scan(caps: np.ndarray, prices: np.ndarray, starts, demands):
-    """Greedy scan of consecutive vertices, as int64 arrays (end, num, den, GAS, covered).
+    """Greedy scan of consecutive vertices, as int64 arrays (end, num, den,
+    GAS, covered, cost).
 
     Vertex v's rooms start at starts[v] in `caps` and `prices` and run to the
     next vertex, in greedy order; its demand, demands[v], is at most their
     capacity.  Rooms starts[v]..end[v]-1 are taken: all but the last, the
     break room b, are whole and cover less than the demand.  GAS is their
     cost and LRS = num / den replaces room b's cost by its used share, so
-    den is b's capacity (1 when the demand is 0 and nothing is taken).  The
-    cumsum of all capacities, covered, is strictly increasing (each is at
-    least 1), so one searchsorted finds every break room.  Every product
-    stays below 2^62, because `ProblemInstance` caps both totals at 2^31 - 1.
+    den is b's capacity (1 when the demand is 0 and nothing is taken).
+    covered and cost are the cumsums of all capacities and prices from 0;
+    covered is strictly increasing (each capacity is at least 1), so one
+    searchsorted finds every break room.  Every product stays below 2^62,
+    because `ProblemInstance` caps both totals at 2^31 - 1.
     """
     covered = np.concatenate(([0], np.cumsum(caps)))
     cost = np.concatenate(([0], np.cumsum(prices)))
@@ -153,7 +149,7 @@ def _scan(caps: np.ndarray, prices: np.ndarray, starts, demands):
     den = np.where(target > base, caps[end - 1], 1)
     # Room b leaves covered[end] - target of its capacity unused.
     num = gas * den - prices[end - 1] * (covered[end] - target)
-    return end, num, den, gas, covered
+    return end, num, den, gas, covered, cost
 
 
 def _repaired_bound(caps: np.ndarray, prices: np.ndarray, covered, offsets, demands, end, gas) -> np.ndarray:
@@ -193,8 +189,8 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     fractional, contributing proctors * residual / capacity.
     """
     instance.require_feasible()
-    order, caps, prices = _greedy(instance, range(instance.n_rooms))
-    end, num, den, _, _ = _scan(caps, prices, [0], [instance.demand])
+    order, caps, prices = _greedy(instance)
+    end, num, den, _, _, _ = _scan(caps, prices, [0], [instance.demand])
     end = int(end[0])
     partial = int(caps[:end].sum()) > instance.demand
     order = order[:end].tolist()
@@ -267,8 +263,8 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     demand = instance.demand
     if demand == 0:
         return (), 0
-    _, greedy_caps, greedy_prices = _greedy(instance, range(n))
-    end, _, _, gas, covered = _scan(greedy_caps, greedy_prices, [0], [demand])
+    _, greedy_caps, greedy_prices = _greedy(instance)
+    end, _, _, gas, covered, _ = _scan(greedy_caps, greedy_prices, [0], [demand])
     ub = int(_repaired_bound(greedy_caps, greedy_prices, covered, [0, n], [demand], end, gas)[0])
     by_cost, width = _dp_axis(n, instance.total_capacity, demand, ub)
 
@@ -296,11 +292,12 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     return tuple(rooms), value
 
 
-def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, ub, vertices) -> np.ndarray:
+def _dp_values(caps: np.ndarray, prices: np.ndarray, covered, cost, offsets, demands, ub, vertices) -> np.ndarray:
     """The optimum cost dp_solve finds, on the same axis, of each vertex in
     `vertices` (indices into the consecutive vertices of `_solve_flat`), from
-    rolling rows instead of tables (no cover is recovered); ub[v] is vertex
-    v's `_repaired_bound`, the end of its cost axis.
+    rolling rows instead of tables (no cover is recovered); covered and cost
+    are `_scan`'s prefix sums, and ub[v] is vertex v's `_repaired_bound`, the
+    end of its cost axis.
 
     Rooms of equal weight w differ only in value, so any j of them weigh
     j * w and the best j are the j most valuable: a group of them is one
@@ -321,8 +318,7 @@ def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, ub, verti
     offsets = np.asarray(offsets)
     starts, ends = offsets[vertices], offsets[vertices + 1]
     sizes = ends - starts
-    cap_sum, price_sum = (np.concatenate(([0], np.cumsum(a))) for a in (caps, prices))
-    total_cap = cap_sum[ends] - cap_sum[starts]
+    total_cap = covered[ends] - covered[starts]
     demand, ub = np.asarray(demands)[vertices], ub[vertices]
     budget = total_cap - demand
     by_cost = ub <= budget
@@ -406,7 +402,7 @@ def _dp_values(caps: np.ndarray, prices: np.ndarray, offsets, demands, ub, verti
         if by_cost[members[0]]:
             out[members] = (rows < demand[members, None]).sum(axis=1)
         else:
-            total_p = price_sum[ends[members]] - price_sum[starts[members]]
+            total_p = cost[ends[members]] - cost[starts[members]]
             out[members] = total_p - rows[np.arange(n), width[members]]
     return out
 
@@ -419,14 +415,14 @@ def _solve_flat(caps: np.ndarray, prices: np.ndarray, offsets, demands):
     Raises AssertionError where LRS <= DPS <= UB <= GAS fails, UB being
     `_repaired_bound`.
     """
-    end, num, den, gas, covered = _scan(caps, prices, offsets[:-1], demands)
+    end, num, den, gas, covered, cost = _scan(caps, prices, offsets[:-1], demands)
     ub = _repaired_bound(caps, prices, covered, offsets, demands, end, gas)
     dps = ub.copy()
     # DPS is an integer in [LRS, UB]: the DP is needed only where
     # ceil(LRS) < UB, that is where num <= (UB - 1) * den.
     unsettled = np.flatnonzero(num <= (ub - 1) * den)
     if len(unsettled):
-        dps[unsettled] = _dp_values(caps, prices, offsets, demands, ub, unsettled)
+        dps[unsettled] = _dp_values(caps, prices, covered, cost, offsets, demands, ub, unsettled)
     broken = (num > dps * den) | (dps > ub) | (ub > gas)
     if broken.any():
         v = int(np.argmax(broken))
@@ -440,18 +436,9 @@ def _solve_flat(caps: np.ndarray, prices: np.ndarray, offsets, demands):
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:
     """LRS, DPS and GAS of one instance: the tree kernel on one vertex."""
     instance.require_feasible()
-    _, caps, prices = _greedy(instance, range(instance.n_rooms))
+    _, caps, prices = _greedy(instance)
     num, den, dps, gas = _solve_flat(caps, prices, [0, len(caps)], [instance.demand])
     return SolutionTriple(Fraction(int(num[0]), int(den[0])), int(dps[0]), int(gas[0]))
-
-
-def solve_vertices(instance: ProblemInstance, order, start, step, size, demand):
-    """`solve_block` on one tree: (num, den, DPS, GAS) int64 arrays indexed
-    like the vertex arrays, for the room positions `order` of `instance` in
-    root order and the vertex demands `demand`."""
-    order, demand = (np.asarray(row, np.int64)[None] for row in (order, demand))
-    columns = solve_block(*instance.arrays, order, start, step, size, demand)
-    return tuple(column[0] for column in columns)
 
 
 def solve_block(capacities, proctors, ranks, order, start, step, size, demand):

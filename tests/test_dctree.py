@@ -21,7 +21,8 @@ from dcknap import (
     split_demand,
     to_dot,
 )
-from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, TreeParams
+from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, TreeParams, build_block
+from dcknap.model import weight_ranks
 from dcknap.solvers import SORT_KEYS
 from conftest import random_instance, reference_nodes
 
@@ -255,6 +256,26 @@ def tree_args(draw):
 
 
 @st.composite
+def blocks(draw):
+    """Instances of one room count, the parameters of one block of trees over
+    them, and a sort seed per instance for the random key."""
+    n = draw(st.integers(1, 40))
+    instances = []
+    for _ in range(draw(st.integers(1, 5))):
+        caps = draw(st.lists(st.integers(1, 120), min_size=n, max_size=n))
+        proctors = proctors_from_rate(caps, draw(st.integers(1, 90)))
+        instances.append(ProblemInstance(caps, proctors, draw(st.integers(0, sum(caps)))))
+    algorithm = draw(st.sampled_from(TREE_ALGORITHMS))
+    fraction = draw(st.fractions(0, 1, max_denominator=20)) if algorithm == "hlT" else None
+    key = draw(st.sampled_from(SORT_KEYS))
+    seeds = [draw(st.integers(0, 2**32)) if key == "random" else None for _ in instances]
+    params = TreeParams(
+        algorithm, SortCriterion(key), fraction, draw(st.integers(1, 6)), draw(st.sampled_from(ROUNDING_MODES))
+    )
+    return instances, params, seeds
+
+
+@st.composite
 def trees(draw):
     """A random feasible instance and a tree over it."""
     args = draw(tree_args())
@@ -317,6 +338,39 @@ class TestTreeProperties:
             assert sorted(i for leaf in leaves for i in leaf.rooms) == list(range(inst.n_rooms))
             assert sum(leaf.demand for leaf in leaves) == inst.demand
             assert all(leaf.demand <= tree.subinstance(leaf).total_capacity for leaf in leaves)
+
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(trees())
+    def test_subinstance_restricts_the_instance_to_the_node(self, case):
+        inst, tree = case
+        for node in tree.nodes:
+            assert tree.subinstance(node) == ProblemInstance(
+                tuple(inst.capacities[i] for i in node.rooms),
+                tuple(inst.proctors[i] for i in node.rooms),
+                node.demand,
+            )
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(blocks())
+    def test_each_row_of_a_block_is_its_own_tree(self, case):
+        # Row t of a stacked block equals the one-row block build_tree gives
+        # instance t, sorted with its own seed.
+        instances, params, seeds = case
+        capacities, proctors = (
+            np.array([getattr(inst, name) for inst in instances], np.int64)
+            for name in ("capacities", "proctors")
+        )
+        demands = np.array([inst.demand for inst in instances], np.int64)
+        block = build_block(capacities, proctors, weight_ranks(capacities, proctors), demands, params, seeds)
+        for t, (inst, seed) in enumerate(zip(instances, seeds)):
+            tree = build_tree(
+                inst, params.algorithm, SortCriterion(params.sort.key, seed),
+                params.fraction, params.min_size, params.rounding,
+            )
+            assert tree.order.shape == (1, inst.n_rooms) and tree.demand.shape == (1, len(tree.size))
+            assert block.order[t].tolist() == tree.order[0].tolist()
+            assert block.demand[t].tolist() == tree.demand[0].tolist()
 
 
 class TestTreeInvariants:

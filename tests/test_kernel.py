@@ -1,4 +1,4 @@
-"""The tree kernel (`solve_vertices`) against the cover path, vertex by vertex.
+"""The tree kernel (`solve_block`) against the cover path, vertex by vertex.
 
 The kernel never builds a sub-instance: it ranks the root's rooms once and
 solves all vertices in one scan over flat integer arrays.  Every vertex's
@@ -31,7 +31,7 @@ from dcknap import (
 from dcknap import model, montecarlo, solvers
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, prune
 from dcknap.montecarlo import derive_seed, seeded_realization
-from dcknap.solvers import SORT_KEYS, solve_vertices
+from dcknap.solvers import SORT_KEYS, solve_block
 from conftest import RATIOS
 
 
@@ -44,7 +44,11 @@ def cover_path_triples(tree):
 
 
 def solve_tree_vertices(tree):
-    return solve_vertices(tree.instance, tree.order, tree.start, tree.step, tree.size, tree.demand)
+    """The kernel's (num, den, DPS, GAS) of the vertices of a one-tree block."""
+    columns = solve_block(
+        tree.capacities, tree.proctors, tree.ranks, tree.order, tree.start, tree.step, tree.size, tree.demand
+    )
+    return tuple(column[0] for column in columns)
 
 
 def kernel_triples(tree):
@@ -185,12 +189,12 @@ def test_repaired_bound_is_a_cover_between_dps_and_gas(tree):
         assert dp_solve(sub)[1] <= ub <= greedy_solve(sub)[1]
 
 
-def _above_gas(caps, prices, offsets, demands, ub, vertices):
+def _above_gas(caps, prices, covered, cost, offsets, demands, ub, vertices):
     return solvers._scan(caps, prices, offsets[:-1], demands)[3][vertices] + 1
 
 
-def _below_lrs(caps, prices, offsets, demands, ub, vertices):
-    _, num, den, _, _ = solvers._scan(caps, prices, offsets[:-1], demands)
+def _below_lrs(caps, prices, covered, cost, offsets, demands, ub, vertices):
+    _, num, den, _, _, _ = solvers._scan(caps, prices, offsets[:-1], demands)
     return -(-num[vertices] // den[vertices]) - 1  # ceil(LRS) - 1
 
 
@@ -203,7 +207,7 @@ def test_sandwich_check_fires(wrong_dp, monkeypatch):
         solve_tree(tree)
 
 
-def _above_ub(caps, prices, offsets, demands, ub, vertices):
+def _above_ub(caps, prices, covered, cost, offsets, demands, ub, vertices):
     gas = solvers._scan(caps, prices, offsets[:-1], demands)[3][vertices]
     return np.minimum(ub[vertices] + 1, gas)
 
@@ -273,16 +277,17 @@ def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
 
 def repaired_bound(inst):
     """solvers._repaired_bound of the instance as one vertex."""
-    _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
-    end, _, _, gas, covered = solvers._scan(caps, prices, [0], [inst.demand])
+    _, caps, prices = solvers._greedy(inst)
+    end, _, _, gas, covered, _ = solvers._scan(caps, prices, [0], [inst.demand])
     return int(solvers._repaired_bound(caps, prices, covered, [0, inst.n_rooms], [inst.demand], end, gas)[0])
 
 
 def _dp_values_of(inst):
     """solvers._dp_values on the instance as one vertex: its greedy arrays and UB."""
-    _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
+    _, caps, prices = solvers._greedy(inst)
+    _, _, _, _, covered, cost = solvers._scan(caps, prices, [0], [inst.demand])
     ub = np.array([repaired_bound(inst)])
-    return int(solvers._dp_values(caps, prices, [0, inst.n_rooms], [inst.demand], ub, np.array([0]))[0])
+    return int(solvers._dp_values(caps, prices, covered, cost, [0, inst.n_rooms], [inst.demand], ub, np.array([0]))[0])
 
 
 @st.composite
@@ -327,12 +332,12 @@ def test_grouped_dp_temporary_is_capped():
     # whole group would take 1,139 x 1,139 int32 cells (about 5 MiB).
     realization = seeded_realization("uniform", 3000, Fraction(1, 2), 2024, 0)
     inst = ProblemInstance(realization.capacities, (1,) * 3000, sum(realization.capacities) // 2)
-    _, caps, prices = solvers._greedy(inst, range(inst.n_rooms))
-    gas = solvers._scan(caps, prices, [0], [inst.demand])[3]
+    _, caps, prices = solvers._greedy(inst)
+    _, _, _, gas, covered, cost = solvers._scan(caps, prices, [0], [inst.demand])
     assert solvers._dp_axis(3000, inst.total_capacity, inst.demand, int(gas[0])) == (True, 1138)
     tracemalloc.start()
     try:
-        value = solvers._dp_values(caps, prices, [0, 3000], [inst.demand], gas, np.array([0]))[0]
+        value = solvers._dp_values(caps, prices, covered, cost, [0, 3000], [inst.demand], gas, np.array([0]))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,8 +351,8 @@ def batched_dps(tree, cells=None):
     found = {}
     batched = solvers._dp_values
 
-    def spy(caps, prices, offsets, demands, ub, vertices):
-        dps = batched(caps, prices, offsets, demands, ub, vertices)
+    def spy(caps, prices, covered, cost, offsets, demands, ub, vertices):
+        dps = batched(caps, prices, covered, cost, offsets, demands, ub, vertices)
         found.update(zip(vertices.tolist(), dps.tolist()))
         return dps
 

@@ -182,8 +182,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("tree_alg", TREE_ALGORITHMS)
     def test_builds_no_per_vertex_objects(self, tree_alg, monkeypatch):
         # Trees stay arrays from the rank to the per-height sums, a block of
-        # trees at a time: no ProblemInstance, DCTree, DCNode or prune, and no
-        # per-tree build or solve, at any binding a caller could look up.
+        # trees at a time: one DCTree per block, and no ProblemInstance,
+        # DCNode or prune and no per-tree build or solve, at any binding a
+        # caller could look up.
         calls = []
 
         def spy(owner, name, label):
@@ -199,7 +200,7 @@ class TestRunExperiment:
             spy(montecarlo, name, name)
         params = ExperimentParams(n_rooms=64, tree_alg=tree_alg, realizations=3, master_seed=5)
         assert run_experiment(params).average.height >= 3
-        assert calls == ["build_block", "solve_trees"]  # one block of 3 trees
+        assert calls == ["build_block", "DCTree", "solve_trees"]  # one block of 3 trees
         # The spy counts: the DCNode view of a tree is built on first use.
         calls.clear()
         tree = build_tree(build_instance(make_realization("uniform", 64, 1, 5), 54), tree_alg, params.sort)
