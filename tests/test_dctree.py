@@ -339,7 +339,6 @@ class TestTreeProperties:
             assert sum(leaf.demand for leaf in leaves) == inst.demand
             assert all(leaf.demand <= tree.subinstance(leaf).total_capacity for leaf in leaves)
 
-
     @settings(max_examples=200, deadline=None, database=None)
     @given(trees())
     def test_subinstance_restricts_the_instance_to_the_node(self, case):
