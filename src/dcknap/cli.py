@@ -149,15 +149,16 @@ def cmd_tree(args) -> int:
         min_size=args.min_size,
         rounding=args.rounding,
     )
-    # member[i, v]: whether vertex v's strided slice holds place i of the root order.
-    member = np.zeros((tree.order.shape[1], len(tree.size)), np.int8)
-    for v, (start, step, size) in enumerate(zip(tree.start.tolist(), tree.step.tolist(), tree.size.tolist())):
-        member[start : start + step * size : step, v] = 1
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["room", *(f"vertex_{v}" for v in range(len(tree.size)))])
+    vertices = len(tree.size)
+    # member[i, v]: whether vertex v holds place i of the root order.
+    member = np.zeros((tree.order.shape[1], vertices), np.uint8)
+    member[tree.places, np.repeat(np.arange(vertices), tree.size)] = 1
+    cells = np.full((vertices, 2), ord(","), np.uint8)  # one row's text, ",0" or ",1" per vertex
+    print(",".join(["room", *(f"vertex_{v}" for v in range(vertices))]))
     for position, row in zip(tree.order[0].tolist(), member):  # rows in root (sorted) order
-        writer.writerow([position, *row.tolist()])
-    writer.writerow(["demand", *tree.demand[0].tolist()])
+        cells[:, 1] = row + ord("0")
+        sys.stdout.write(f"{position}{cells.tobytes().decode()}\n")
+    print(",".join(["demand", *map(str, tree.demand[0].tolist())]))
     if args.dot_out:
         Path(args.dot_out).write_text(to_dot(tree))
         print(f"wrote DOT to {args.dot_out}", file=sys.stderr)

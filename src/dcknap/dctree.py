@@ -9,13 +9,14 @@ owns the one default: an hlT tree without a head fraction splits at 1/2.
 Vertices are numbered in left pre-order, root = 0.
 
 A `DCTree` is a block of same-shape trees as integer arrays, one tree per
-row: every vertex is a strided slice of its tree's sorted room order (a run
-for hlT, a residue class for blT), with its demand, height and children.
-Only the orders and the demands depend on the rooms; the rest is one cached
-shape per room count.  `build_block` grows a block at once, one tree per
-row of (trees x rooms) arrays; `build_tree` returns a block of one.
-`DCTree.nodes` views the first tree as DCNode objects for display and
-tests; experiments never build it.
+row: every vertex is a run of `places`, the shape's array of places in its
+tree's sorted room order (a run of the order for hlT, a residue class for
+blT), with its demand, height and children.  Only the orders and the
+demands depend on the rooms; the rest is one cached shape per room count.
+`build_block` grows a block at once, one tree per row of (trees x rooms)
+arrays; `build_tree` returns a block of one.  `DCTree.nodes` views the
+first tree as DCNode objects for display and tests; experiments never
+build it.
 """
 
 from __future__ import annotations
@@ -149,13 +150,14 @@ class DCTree:
     order[t] holds its room positions in the root's sorted order and
     demand[t] its vertex demands, by pre-order vertex number, root = 0.
 
-    Vertex v holds the rooms order[t, start[v] + step[v] * i], i < size[v]:
-    an hlT vertex is a run of the root order (step 1), a blT vertex at depth
-    d one residue class modulo step 2^d.  An inner vertex's left child is
-    v + 1 and its right child right[v]; a leaf has left[v] = right[v] = -1.
-    These vertex arrays are one read-only shape (`_shape`), shared by every
-    tree of the same room count and parameters.  `nodes`, `root` and
-    `subinstance` view the first tree.
+    `places` lays the vertices end to end in pre-order, each as its
+    ascending places in the root order: vertex v holds the rooms
+    order[t, places[first[v] : first[v] + size[v]]], a run of the root
+    order for hlT and one residue class modulo 2^depth for blT.  An inner
+    vertex's left child is v + 1 and its right child right[v]; a leaf has
+    left[v] = right[v] = -1.  These vertex arrays are one read-only shape
+    (`_shape`), shared by every tree of the same room count and parameters.
+    `nodes`, `root` and `subinstance` view the first tree.
     """
 
     capacities: np.ndarray
@@ -163,8 +165,8 @@ class DCTree:
     ranks: np.ndarray
     order: np.ndarray
     demand: np.ndarray
-    start: np.ndarray
-    step: np.ndarray
+    places: np.ndarray
+    first: np.ndarray
     size: np.ndarray
     heights: np.ndarray  # of each vertex
     left: np.ndarray
@@ -174,15 +176,15 @@ class DCTree:
     @cached_property
     def nodes(self) -> list[DCNode]:
         """The vertices of the first tree as DCNode objects, in pre-order."""
-        order = self.order[0].tolist()
+        rooms = self.order[0, self.places].tolist()
         nodes: list[DCNode] = [None] * len(self.size)
-        columns = (self.start, self.step, self.size, self.demand[0], self.heights, self.left, self.right)
+        columns = (self.first, self.first + self.size, self.demand[0], self.heights, self.left, self.right)
         # Children come after their parent in pre-order, so build backwards.
-        for v, (start, step, size, demand, height, left, right) in reversed(
+        for v, (first, end, demand, height, left, right) in reversed(
             list(enumerate(zip(*(column.tolist() for column in columns))))
         ):
             nodes[v] = DCNode(
-                rooms=tuple(order[start : start + step * (size - 1) + 1 : step]),
+                rooms=tuple(rooms[first:end]),
                 demand=demand,
                 height=height,
                 index=v,
@@ -208,12 +210,14 @@ class DCTree:
 @lru_cache(maxsize=16)
 def _shape(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: int):
     """The read-only arrays of a tree that its rooms do not change:
-    (start, step, size, heights, left, right) by pre-order vertex number, and
+    (places, first, size, heights, left, right) as `DCTree` holds them, and
     per splitting level the numbers of its (parents, left and right children).
 
-    Grown one level at a time: a level's children are the left children of
+    Grown one level at a time, each vertex a strided slice of the root
+    order (start, step, size): a level's children are the left children of
     its splitting vertices, then their right children; subtree sizes then
-    give the pre-order numbers.  Keyed by value, so it holds no instance.
+    give the pre-order numbers, and the slices in pre-order give `places`.
+    Keyed by value, so it holds no instance.
     """
     # A level's vertices as the rows start, step, size.
     level = np.array([[0], [1], [n_rooms]], dtype=np.int64)
@@ -258,11 +262,14 @@ def _shape(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: in
         right[parent] = parent + 1 + below[: len(parent)]
         number.append(np.concatenate((left[parent], right[parent])))
         parents.append((parent, left[parent], right[parent]))
-    columns = np.concatenate(levels, axis=1)
     heights = np.repeat(np.arange(len(levels)), [level.shape[1] for level in levels])
     # `number` is a permutation of the vertices, so the gather sets each one.
     in_order = np.argsort(np.concatenate(number))
-    vertices = (*columns[:, in_order], heights[in_order], left, right)
+    start, step, size = np.concatenate(levels, axis=1)[:, in_order]
+    first = np.cumsum(size) - size
+    local = np.arange(int(size.sum())) - np.repeat(first, size)  # place in the vertex
+    places = np.repeat(start, size) + np.repeat(step, size) * local
+    vertices = (places, first, size, heights[in_order], left, right)
     for array in (*vertices, *(a for level in parents for a in level)):
         array.flags.writeable = False
     return vertices, tuple(parents)
@@ -272,8 +279,8 @@ def block_rows(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size
     """How many trees of checked parameters (see `TreeParams`) one block
     holds: as many as fit in `solvers.BLOCK_ROOMS` flat rooms (a tree's
     vertex sizes summed), at least one."""
-    (_, _, size, _, _, _), _ = _shape(algorithm, n_rooms, fraction, min_size)
-    return max(1, solvers.BLOCK_ROOMS // int(size.sum()))
+    (places, *_), _ = _shape(algorithm, n_rooms, fraction, min_size)
+    return max(1, solvers.BLOCK_ROOMS // len(places))
 
 
 def build_block(capacities, proctors, ranks, demands, params: TreeParams, seeds) -> DCTree:
@@ -283,35 +290,22 @@ def build_block(capacities, proctors, ranks, demands, params: TreeParams, seeds)
     row t with seeds[t].
 
     Only the order and the demands are the instances' own.  Each vertex's
-    capacity is a prefix-sum difference of the sorted capacities (hlT) or
-    its residue class's sum (blT); the demands of all trees are split one
-    level at a time.
+    capacity is the sum of its run of `places` in the sorted capacities; the
+    demands of all trees are split one level at a time.
     """
     trees, n = capacities.shape
-    (start, step, size, heights, left, right), levels = _shape(
-        params.algorithm, n, params.fraction, params.min_size
-    )
+    vertices, levels = _shape(params.algorithm, n, params.fraction, params.min_size)
+    places, first = vertices[:2]
     order = params.sort.orders(capacities, proctors, ranks, seeds)
     caps = np.take_along_axis(capacities, order, axis=1)  # by place in `order`
-    if params.algorithm == HEAD_LEFT:
-        prefix = np.concatenate((np.zeros((trees, 1), np.int64), np.cumsum(caps, axis=1)), axis=1)
-        capacity = prefix[:, start + size] - prefix[:, start]
-    else:
-        # A blT vertex at depth d holds the residue class start modulo 2^d = step.
-        padded = np.zeros((trees, 1 << (n - 1).bit_length()), np.int64)  # to a power of 2
-        padded[:, :n] = caps
-        sums = [padded.reshape(trees, -1, 1 << d).sum(axis=1) for d in range(len(levels) + 1)]
-        capacity = np.concatenate(sums, axis=1)[:, step - 1 + start]
-    demand = np.zeros((trees, len(size)), np.int64)
+    capacity = np.add.reduceat(np.take(caps, places, axis=1), first, axis=1)
+    demand = np.zeros((trees, len(first)), np.int64)
     demand[:, 0] = demands
     for parents, lefts, rights in levels:
         demand[:, lefts], demand[:, rights] = split_demand(
             demand[:, parents], capacity[:, lefts], capacity[:, parents], params.rounding
         )
-    return DCTree(
-        capacities, proctors, ranks, order, demand, start, step, size, heights, left, right,
-        height=len(levels),
-    )
+    return DCTree(capacities, proctors, ranks, order, demand, *vertices, height=len(levels))
 
 
 def build_tree(

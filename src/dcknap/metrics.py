@@ -141,7 +141,7 @@ def solve_trees(tree: DCTree) -> list[EfficiencySeries]:
     """
     num, den, dps, gas = solve_block(
         tree.capacities, tree.proctors, tree.ranks, tree.order,
-        tree.start, tree.step, tree.size, tree.demand,
+        tree.places, tree.size, tree.demand,
     )
     trees = len(num)
     # Number each tree's distinct denominators from 0: tree t's keys lie in

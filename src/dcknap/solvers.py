@@ -16,10 +16,10 @@ that order.  `_repaired_bound` turns GAS into UB, the cheaper of GAS and its
 one-room repairs (swap the break room, drop a spare room); UB is internal,
 bounds the cost axis of every DP, and LRS <= DPS <= UB <= GAS.
 `solve_block`, the tree kernel, takes a block of same-shape trees (at most
-`BLOCK_ROOMS` flat rooms), gathers every vertex from its strided slice of
-its tree's root order, lays them all end to end in one flat array, each in
-greedy order, and returns every vertex's LRS (as an integer numerator and
-denominator), DPS and GAS as int64 arrays: one `cumsum` and one
+`BLOCK_ROOMS` flat rooms), gathers every vertex from its run of the shape's
+`places` in its tree's root order, lays them all end to end in one flat
+array, each in greedy order, and returns every vertex's LRS (as an integer
+numerator and denominator), DPS and GAS as int64 arrays: one `cumsum` and one
 `searchsorted` give every bound, two masked `reduceat`s the repairs, and
 one value-only DP per block, `_dp_values`, runs only where ceil(LRS) < UB:
 vertices of one axis and width class roll their rows as one matrix, one
@@ -441,29 +441,27 @@ def solve_triple(instance: ProblemInstance) -> SolutionTriple:
     return SolutionTriple(Fraction(int(num[0]), int(den[0])), int(dps[0]), int(gas[0]))
 
 
-def solve_block(capacities, proctors, ranks, order, start, step, size, demand):
+def solve_block(capacities, proctors, ranks, order, places, size, demand):
     """The tree kernel on a block of same-shape trees: (num, den, DPS, GAS)
     int64 (trees x vertices) arrays, LRS being num / den, without building a
     sub-instance.
 
     Row t of the (trees x rooms) arrays `capacities`, `proctors` and `ranks`
     (`model.weight_ranks`, comparable within a row) is tree t's instance and
-    order[t] its room positions in root order; vertex v of tree t has the
-    rooms order[t, start[v] + step[v] * i], i < size[v], and a feasible
+    order[t] its room positions in root order.  `places` (`DCTree.places`)
+    lays the vertices' places in order[t] end to end, each run ascending:
+    vertex v of tree t has the next size[v] of them and a feasible demand
     demand[t, v].  Its greedy order sorts its rooms by specific weight, ties
     by place in the vertex and so in order[t].  One ranking of each row by
     (weight rank, place) therefore gives every vertex its greedy order; a
     row whose ranks already ascend (the specific-weight sort) is its own
     ranking.  One sort of the keys vertex * rooms + greedy place per row
-    lays a tree's vertices end to end, and the trees follow each other, for
-    one scan.
+    keeps a tree's vertices end to end, and the trees follow each other,
+    for one scan.
     """
     trees, n = order.shape
     row = np.arange(0, trees * n, n)[:, None]  # each row's first cell, raveled
     order = order + row  # cells of the raveled (trees x rooms) arrays
-    first = np.cumsum(size) - size
-    local = np.arange(int(size.sum())) - np.repeat(first, size)  # place in the vertex
-    at = np.repeat(start, size) + np.repeat(step, size) * local  # place in order[t]
     keys = ranks.ravel()[order]
     if (np.diff(keys, axis=1) < 0).any():
         by_rank = np.argsort(keys, axis=1, kind="stable") + row
@@ -471,10 +469,10 @@ def solve_block(capacities, proctors, ranks, order, start, step, size, demand):
         place = np.empty(trees * n, np.int64)  # by_rank holds every cell once: each is set
         place[by_rank] = np.arange(n)
         base = np.repeat(np.arange(len(size), dtype=np.int64) * n, size)
-        at = np.sort(place[at + row] + base, axis=1) - base
-    rooms = order.ravel()[at + row].ravel()
+        places = np.sort(place[places + row] + base, axis=1) - base  # by greedy place
+    rooms = order.ravel()[places + row].ravel()
     caps, prices = capacities.ravel()[rooms], proctors.ravel()[rooms]
-    del at, rooms  # free before the DP
+    del places, rooms  # free before the DP
     offsets = np.append(0, np.cumsum(np.tile(size, trees)))
     columns = _solve_flat(caps, prices, offsets, demand.ravel())
     return tuple(column.reshape(trees, -1) for column in columns)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from dcknap.dctree import HEAD_LEFT, TreeParams
 from dcknap.montecarlo import seeded_realization
 
 DATA_DIR = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Realization 1 of the committed sample batch: 8 uniform rooms, occupancy 0.9.
 R1_CAPACITIES = (113, 54, 95, 89, 85, 87, 76, 105)
@@ -28,6 +31,19 @@ R1_DEMAND = 633
 
 # Capacity/proctor ratios shared by many rooms, so optima and greedy order tie often.
 RATIOS = ((1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (6, 4))
+
+
+def load_perfbench(name: str):
+    """The benchmark's module perfbench/<name>.py, loaded by path so that
+    the benchmark's directory needs no package or sys.path entry."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture

@@ -1,15 +1,23 @@
 import csv
+import io
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcknap import (
     EFFICIENCY_METRICS,
     ExperimentParams,
     InvalidParameterError,
     ProblemInstance,
+    SortCriterion,
+    build_tree,
     dp_solve,
     lp_relax_solve,
     proctors_from_rate,
@@ -19,7 +27,9 @@ from dcknap import (
 )
 import dcknap.solvers
 from dcknap.cli import _critical_heights, main, parse_config
+from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS
 from dcknap.errors import ConfigError
+from dcknap.solvers import SORT_KEYS
 
 SMOKE_CONFIG = """\
 n_rooms=8
@@ -261,7 +271,49 @@ class TestSolve:
         assert err.startswith("error:")
 
 
+@st.composite
+def tree_commands(draw):
+    """A one-column rooms CSV of 1-70 rooms and `dcknap tree` options over
+    it, every tree parameter drawn; with the instance and build_tree's
+    arguments that the options stand for."""
+    caps = draw(st.lists(st.integers(1, 120), min_size=1, max_size=70))
+    rate, demand = draw(st.integers(1, 90)), draw(st.integers(0, sum(caps)))
+    algorithm, key = draw(st.sampled_from(TREE_ALGORITHMS)), draw(st.sampled_from(SORT_KEYS))
+    seed, min_size = draw(st.integers(0, 2**32)), draw(st.integers(1, 5))
+    rounding = draw(st.sampled_from(ROUNDING_MODES))
+    options = [
+        "--rate", str(rate), "--tree", algorithm, "--sort", key, "--sort-seed", str(seed),
+        "--min-size", str(min_size), "--rounding", rounding,
+    ]
+    fraction = None
+    if algorithm == "hlT":
+        fraction = draw(st.none() | st.fractions(0, 1, max_denominator=20))
+        options += [] if fraction is None else ["--fraction", str(fraction)]
+    rooms = "".join(f"{i},{c}\n" for i, c in enumerate(caps))
+    text = f"room,realization_1\n{rooms}SUM,{sum(caps)}\nDEMAND,{demand}\n"
+    instance = ProblemInstance(caps, proctors_from_rate(caps, rate), demand)
+    sort = SortCriterion(key, seed=seed if key == "random" else None)
+    return text, options, (instance, algorithm, sort, fraction, min_size, rounding)
+
+
 class TestTree:
+    @settings(max_examples=200, deadline=None)
+    @given(tree_commands())
+    def test_every_cell_is_membership_of_the_node(self, command):
+        text, options, tree_args = command
+        with tempfile.TemporaryDirectory() as tmp:
+            rooms = Path(tmp) / "rooms.csv"
+            rooms.write_text(text)
+            with redirect_stdout(io.StringIO()) as out:
+                assert main(["tree", str(rooms), *options]) == 0
+        nodes = build_tree(*tree_args).nodes
+        rows = list(csv.reader(out.getvalue().splitlines()))
+        assert rows[0] == ["room", *(f"vertex_{v}" for v in range(len(nodes)))]
+        assert [int(row[0]) for row in rows[1:-1]] == list(nodes[0].rooms)
+        for row in rows[1:-1]:
+            assert row[1:] == [str(int(int(row[0]) in node.rooms)) for node in nodes]
+        assert rows[-1] == ["demand", *(str(node.demand) for node in nodes)]
+
     def test_readme_output_verbatim(self, rooms_csv, tmp_path, capsys):
         dot = tmp_path / "tree.dot"
         code, out, _ = run(

@@ -456,7 +456,7 @@ def test_build_tree_dispatch_validation(r1_instance):
         build_tree(r1_instance, "ternary", GAMMA)
 
 
-SHAPE_FIELDS = ("start", "step", "size", "heights", "left", "right")
+SHAPE_FIELDS = ("places", "first", "size", "heights", "left", "right")
 
 
 class TestShape:
@@ -491,7 +491,7 @@ class TestShape:
     @pytest.mark.parametrize("fraction", [None, 0.5, "1/2"])
     def test_every_spelling_of_one_half_shares_one_shape(self, r1_instance, fraction):
         half = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2))
-        assert build_tree(r1_instance, "hlT", GAMMA, fraction).start is half.start
+        assert build_tree(r1_instance, "hlT", GAMMA, fraction).places is half.places
 
     def test_cache_holds_no_instance(self):
         enabled = gc.isenabled()

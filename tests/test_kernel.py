@@ -46,7 +46,7 @@ def cover_path_triples(tree):
 def solve_tree_vertices(tree):
     """The kernel's (num, den, DPS, GAS) of the vertices of a one-tree block."""
     columns = solve_block(
-        tree.capacities, tree.proctors, tree.ranks, tree.order, tree.start, tree.step, tree.size, tree.demand
+        tree.capacities, tree.proctors, tree.ranks, tree.order, tree.places, tree.size, tree.demand
     )
     return tuple(column[0] for column in columns)
 

@@ -209,10 +209,8 @@ class TestRunExperiment:
 
 def _flat_rooms(params):
     """The vertex sizes of one tree of `params`, summed."""
-    (_, _, size, _, _, _), _ = dctree._shape(
-        params.tree_alg, params.n_rooms, params.head_fraction, params.min_size
-    )
-    return int(size.sum())
+    (places, *_), _ = dctree._shape(params.tree_alg, params.n_rooms, params.head_fraction, params.min_size)
+    return len(places)
 
 
 @st.composite
