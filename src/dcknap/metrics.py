@@ -14,16 +14,16 @@ and the bound gaps at each height are
     LRE(h) = 100 * (DPS(h) - LRS(h)) / DPS(h)
 
 Everything is exact rational arithmetic; rendering rounds half-up to two
-decimals only at the edge.  `solve_trees` takes every vertex's bounds of a
-block of same-shape trees (a `DCTree`) from the `solvers` kernel as integer
-arrays and sums them per tree and height on arrays: DPS and GAS as ints and
-LRS per distinct denominator of the tree, so each height builds one
-Fraction.  `solve_tree` gives the series of the first tree.
+decimals only at the edge.  `solve_trees` reduces a block of same-shape
+trees (a `DCTree`), solved by the `solvers` kernel, to a few int sums per
+tree and height, so every per-tree cell is a ratio of ints: `average_sums`
+builds one Fraction per output cell and none per tree.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,10 +74,8 @@ def metric_start_height(name: str) -> int:
     return 1 if name.startswith("SwE") else 0
 
 
-def _pct(numerator, denominator) -> Fraction:
-    if denominator == 0:
-        return Fraction(0)
-    return Fraction(100 * numerator, denominator)
+def _pct(numerator: int, denominator: int) -> tuple[int, int]:
+    return (100 * numerator, denominator) if denominator else (0, 1)
 
 
 @dataclass(frozen=True)
@@ -112,81 +110,87 @@ class EfficiencySeries:
         return getattr(self, field)
 
 
-def _fraction_sum(nums, dens, count: int = 1) -> Fraction:
-    """Exact sum of nums[i] / dens[i], divided by `count`, as one Fraction
-    over the lcm of the denominators of the nonzero terms."""
-    terms = [(num, den) for num, den in zip(nums, dens) if num]
+def _fraction_sum(terms, count: int) -> Fraction:
+    """Exact sum of (numerator, denominator) int pairs, divided by `count`,
+    as one Fraction over the lcm of the denominators of the nonzero terms."""
+    terms = [(num, den) for num, den in terms if num]
     common = math.lcm(*(den for _, den in terms))
     return Fraction(sum(num * (common // den) for num, den in terms), common * count)
 
 
 def solve_tree(tree: DCTree) -> EfficiencySeries:
-    """The per-height series of the first tree, as `solve_trees` gives it;
-    a `build_tree` block has only one."""
-    return solve_trees(tree)[0]
+    """The series of the first tree of a block; a `build_tree` block has one."""
+    return tree_series(solve_trees(tree)[0])
 
 
-def solve_trees(tree: DCTree) -> list[EfficiencySeries]:
-    """The per-height series of every tree of a block, in row order, from
-    one pass of the `solvers` kernel over all its vertices, with no
-    sub-instance per vertex.
+def solve_trees(tree: DCTree) -> list[tuple]:
+    """The per-height sums (a, b, dps, gas) of every tree of a block, in row
+    order, as Python ints from one pass of the `solvers` kernel: LRS(h) is
+    a[h] / b, DPS(h) dps[h] and GAS(h) gas[h].
 
-    At height h a vertex counts when it sits at h or is a leaf above h, so
-    each series is the per-height sums of inner vertices plus the running
-    per-height sums of leaves.  LRS numerators are summed per (tree, height,
-    distinct denominator of the tree) in int64: for one denominator d the
-    numerators of any set of disjoint vertices total at most
-    d * (total proctors) < 2^62.  DPS and GAS are summed as ints, and each
-    height builds one Fraction.
+    At height h a vertex counts when it sits at h or is a leaf above h.  LRS
+    numerators are summed per (tree, height, distinct denominator) in int64:
+    for one denominator d the numerators of any set of disjoint vertices
+    total at most d * (total proctors) < 2^62.  b, the lcm of the tree's
+    distinct denominators, can pass 2^63.
     """
     num, den, dps, gas = solve_block(
-        tree.capacities, tree.proctors, tree.ranks, tree.order,
-        tree.places, tree.size, tree.demand,
+        tree.capacities, tree.proctors, tree.ranks, tree.order, tree.places, tree.size, tree.demand
     )
-    trees = len(num)
-    # Number each tree's distinct denominators from 0: tree t's keys lie in
-    # [t * base, (t + 1) * base).
-    base = int(den.max()) + 1
-    tree_base = np.arange(trees, dtype=np.int64)[:, None] * base
-    keys, den_at = np.unique(den + tree_base, return_inverse=True)
-    first = np.searchsorted(keys, tree_base[:, 0]).tolist() + [len(keys)]
-    den_at = den_at.reshape(den.shape) - np.array(first[:-1])[:, None]
-    width = max(b - a for a, b in zip(first, first[1:]))
+    trees = np.arange(len(num))[:, None]
+    keys, den_at = np.unique(den, return_inverse=True)
+    den_at, width = den_at.reshape(den.shape), len(keys)
+    has = np.zeros((len(num), width), bool)
+    has[trees, den_at] = True  # tree t has a vertex over denominator keys[i]
     # sums[tree, leaf, h, column]: LRS numerators per denominator, then DPS and GAS.
-    sums = np.zeros((trees, 2, tree.height + 1, width + 2), np.int64)
-    at = (np.arange(trees)[:, None], (tree.left < 0).astype(np.intp), tree.heights)
+    sums = np.zeros((len(num), 2, tree.height + 1, width + 2), np.int64)
+    at = (trees, (tree.left < 0).astype(np.intp), tree.heights)
     np.add.at(sums, (*at, den_at), num)
     np.add.at(sums, (*at, width), dps)
     np.add.at(sums, (*at, width + 1), gas)
     sums = sums[:, 0] + np.cumsum(sums[:, 1], axis=1)
 
-    series = []
-    for t, rows in enumerate(sums.tolist()):
-        dens = (keys[first[t] : first[t + 1]] - t * base).tolist()
-        lrs = [_fraction_sum(row[: len(dens)], dens) for row in rows]
-        series.append(_series(lrs, [row[-2] for row in rows], [row[-1] for row in rows]))
-    return series
+    keys, result = keys.tolist(), []
+    for rows, tree_has in zip(sums.tolist(), has.tolist()):
+        b = math.lcm(*(d for d, h in zip(keys, tree_has) if h))
+        scale = [b // d if h else 0 for d, h in zip(keys, tree_has)]
+        a = tuple(sum(map(operator.mul, row, scale)) for row in rows)  # map stops at DPS
+        result.append((a, b, tuple(row[-2] for row in rows), tuple(row[-1] for row in rows)))
+    return result
 
 
-def _series(lrs: list, dps: list, gas: list) -> EfficiencySeries:
-    """The efficiency series of per-height LRS, DPS and GAS sums."""
-    heights = range(len(dps))
-    columns = {
-        "LRS": tuple(lrs),
-        "DPS": tuple(dps),
-        "GAS": tuple(gas),
-        "GAE": tuple(_pct(gas[h] - dps[h], dps[h]) for h in heights),
-        "LRE": tuple(_pct(dps[h] - lrs[h], dps[h]) for h in heights),
-    }
-    for name in SOLUTION_METRICS:
-        series = columns[name]
-        columns[f"GbE_{name}"] = tuple(
-            _pct(series[h] - series[0], series[0]) for h in heights
-        )
-        columns[f"SwE_{name}"] = tuple(
-            _pct(series[h] - series[h - 1], series[h - 1]) for h in heights if h >= 1
-        )
-    return EfficiencySeries(**{name.lower(): columns[name] for name in ALL_METRICS})
+def _column(name: str, sums: tuple) -> list[tuple[int, int]]:
+    """Metric `name` of one tree per height, as (numerator, denominator) int
+    pairs, from its `solve_trees` sums (a, b, dps, gas)."""
+    a, b, dps, gas = sums
+    if name == "GAE":
+        return [_pct(g - d, d) for d, g in zip(dps, gas)]
+    if name == "LRE":
+        return [_pct(d * b - x, d * b) for d, x in zip(dps, a)]
+    values = {"LRS": a, "DPS": dps, "GAS": gas}[name[-3:]]  # b cancels from LRS growth
+    if name.startswith("GbE"):
+        return [_pct(v - values[0], values[0]) for v in values]
+    if name.startswith("SwE"):
+        return [_pct(v - u, u) for u, v in zip(values, values[1:])]
+    return [(v, b if name == "LRS" else 1) for v in values]
+
+
+def tree_series(sums: tuple) -> EfficiencySeries:
+    """One tree's series from its `solve_trees` sums; DPS and GAS stay ints."""
+    return EfficiencySeries(**{
+        name.lower(): tuple(n if name in ("DPS", "GAS") else Fraction(n, d) for n, d in _column(name, sums))
+        for name in ALL_METRICS
+    })
+
+
+def average_sums(trees: Sequence, column=_column) -> EfficiencySeries:
+    """The exact mean per metric per height of `trees`, one `_fraction_sum`
+    per cell: `column(name, tree)` gives a tree's metric per height as int
+    pairs, by default from its `solve_trees` sums, so no Fraction per tree."""
+    return EfficiencySeries(**{
+        name.lower(): tuple(_fraction_sum(c, len(trees)) for c in zip(*(column(name, t) for t in trees)))
+        for name in ALL_METRICS
+    })
 
 
 def average_series(series: Sequence[EfficiencySeries]) -> EfficiencySeries:
@@ -196,17 +200,8 @@ def average_series(series: Sequence[EfficiencySeries]) -> EfficiencySeries:
     height = series[0].height
     if any(s.height != height for s in series):
         raise InvalidParameterError("all series must share the same height")
-    k = len(series)
-
-    def mean_field(name):
-        # An int cell is its own numerator over 1, so int cells sum as ints.
-        columns = [s.metric(name) for s in series]
-        return tuple(
-            _fraction_sum([c.numerator for c in cells], [c.denominator for c in cells], k)
-            for cells in zip(*columns)
-        )
-
-    return EfficiencySeries(**{name.lower(): mean_field(name) for name in ALL_METRICS})
+    # An int cell is its own numerator over 1, so int cells sum as ints.
+    return average_sums(series, lambda name, s: [(c.numerator, c.denominator) for c in s.metric(name)])
 
 
 def critical_height(columns: Mapping[object, Sequence], aggregation: str = "mean") -> int:

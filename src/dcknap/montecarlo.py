@@ -17,14 +17,15 @@ import csv
 import hashlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .dctree import HEAD_LEFT, TreeParams, block_rows, build_block
 from .dctree import build_tree  # noqa: F401  a binding perfbench/spans.py traces
 from .errors import InvalidParameterError
-from .metrics import EfficiencySeries, average_series, solve_trees
-from .metrics import solve_tree  # noqa: F401  a binding perfbench/spans.py traces
+from .metrics import EfficiencySeries, average_sums, solve_trees, tree_series
+from .metrics import average_series, solve_tree  # noqa: F401  bindings perfbench/spans.py traces
 from .model import (
     MAX_TOTAL_CAPACITY,
     ProblemInstance,
@@ -183,13 +184,17 @@ class ExperimentParams:
 @dataclass(frozen=True)
 class ExperimentResult:
     average: EfficiencySeries
-    series: tuple[EfficiencySeries, ...]  # per realization, in index order
+    sums: tuple[tuple, ...]  # of `solve_trees`, per realization in index order
+
+    @cached_property
+    def series(self) -> tuple[EfficiencySeries, ...]:
+        return tuple(tree_series(sums) for sums in self.sums)
 
 
-def _realization_series(params: ExperimentParams, indices: range) -> list[EfficiencySeries]:
-    """Series of the realizations `indices`, as one block of same-shape
-    trees: each is drawn as `seeded_realization` draws it, then all are
-    checked, ranked, sorted, split, solved and summed together.
+def _realization_series(params: ExperimentParams, indices: range) -> list[tuple]:
+    """Per-height sums of the realizations `indices`, as one block of
+    same-shape trees: each is drawn as `seeded_realization` draws it, then
+    all are checked, ranked, sorted, split, solved and summed together.
 
     A split never overloads a child (see `split_demand`), so every draw is
     used.  The 0 in the sort seed is part of the seed format, as in
@@ -222,15 +227,15 @@ def run_experiment(params: ExperimentParams) -> ExperimentResult:
     """Run all realizations of one experiment and average the series.
 
     Realizations are solved in blocks of consecutive indices (`block_rows`),
-    so memory depends on the block, not on the number of realizations.
-    Output is a pure function of `params`: realizations are seeded by index
-    and reduced in index order.
+    so the arrays depend on the block; what stays until the average is a
+    few integer sums per tree.  Output is a pure function of `params`:
+    realizations are seeded by index and reduced in index order.
     """
     rows = block_rows(params.tree_alg, params.n_rooms, params.head_fraction, params.min_size)
-    series = []
+    sums = []
     for first in range(0, params.realizations, rows):
-        series += _realization_series(params, range(first, min(first + rows, params.realizations)))
-    return ExperimentResult(average_series(series), tuple(series))
+        sums += _realization_series(params, range(first, min(first + rows, params.realizations)))
+    return ExperimentResult(average_sums(sums), tuple(sums))
 
 
 def default_domain(variable: str):

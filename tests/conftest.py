@@ -3,13 +3,16 @@ from __future__ import annotations
 import importlib.util
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dcknap import (
+    ALL_METRICS,
     DCNode,
+    EfficiencySeries,
     ProblemInstance,
     SizeLimitError,
     build_instance,
@@ -20,6 +23,7 @@ from dcknap import (
     split_demand,
 )
 from dcknap.dctree import HEAD_LEFT, TreeParams
+from dcknap.metrics import SOLUTION_METRICS
 from dcknap.montecarlo import seeded_realization
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -165,6 +169,28 @@ def reference_realization_series(params, index):
         rounding=params.rounding,
     )
     return solve_tree(tree)
+
+
+def fraction_series(lrs, dps, gas):
+    """The efficiency series of per-height LRS, DPS and GAS sums, computed
+    with Fractions from the definitions in `dcknap.metrics`."""
+
+    def pct(numerator, denominator):
+        return Fraction(0) if denominator == 0 else Fraction(100 * numerator, denominator)
+
+    heights = range(len(dps))
+    columns = {
+        "LRS": tuple(lrs),
+        "DPS": tuple(dps),
+        "GAS": tuple(gas),
+        "GAE": tuple(pct(gas[h] - dps[h], dps[h]) for h in heights),
+        "LRE": tuple(pct(dps[h] - lrs[h], dps[h]) for h in heights),
+    }
+    for name in SOLUTION_METRICS:
+        series = columns[name]
+        columns[f"GbE_{name}"] = tuple(pct(series[h] - series[0], series[0]) for h in heights)
+        columns[f"SwE_{name}"] = tuple(pct(series[h] - series[h - 1], series[h - 1]) for h in heights[1:])
+    return EfficiencySeries(**{name.lower(): columns[name] for name in ALL_METRICS})
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

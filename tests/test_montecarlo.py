@@ -13,7 +13,6 @@ from dcknap import (
     DCNode,
     DCTree,
     ExperimentParams,
-    ExperimentResult,
     InvalidParameterError,
     ProblemInstance,
     Realization,
@@ -35,7 +34,7 @@ from dcknap.cli import main
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, build_tree
 from dcknap.montecarlo import DISTRIBUTIONS
 from dcknap.solvers import SORT_KEYS
-from conftest import reference_realization_series
+from conftest import fraction_series, reference_realization_series
 
 
 class TestSampling:
@@ -255,13 +254,54 @@ class TestBlocks:
         count = params.realizations
         assert blocks == [rows] * (count // rows) + [count % rows] * (count % rows > 0)
         series = tuple(reference_realization_series(params, i) for i in range(count))
-        expected = ExperimentResult(average_series(series), series)
-        assert result == expected
-        assert repr(result) == repr(expected)  # ints stay ints
+        average = average_series(series)
+        assert result.average == average and repr(result.average) == repr(average)
+        assert result.series == series and repr(result.series) == repr(series)  # ints stay ints
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(experiments(), st.sampled_from((1, 2, 3)), st.sampled_from((None, "every", "some")))
+    @example(replace(SMALL, n_rooms=1, realizations=9), 2, "some")
+    def test_integer_means_equal_the_fraction_means(self, params, rows, zero_demand):
+        # Demand 0 makes every sum of a tree 0, DPS(0) included, so its growth
+        # and gap cells fall to the zero rule; one room at occupancy 1/100
+        # gives demand 0 to some trees of a block and 1 to the others.
+        if zero_demand == "every":
+            params = replace(params, occupancy=Fraction(1, 10**6))
+        elif zero_demand == "some":
+            params = replace(params, n_rooms=1, occupancy=Fraction(1, 100))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "BLOCK_ROOMS", rows * _flat_rooms(params))
+            result = run_experiment(params)
+        series = tuple(reference_realization_series(params, i) for i in range(params.realizations))
+        assert result.series == series and repr(result.series) == repr(series)
+        for tree in result.series:
+            expected = fraction_series(tree.lrs, tree.dps, tree.gas)
+            assert tree == expected and repr(tree) == repr(expected)
+        average = average_series(result.series)
+        assert result.average == average and repr(result.average) == repr(average)
+
+    def test_builds_no_fraction_per_tree(self, monkeypatch):
+        # Only the average's cells are Fractions, one each: ten times the
+        # trees build the same number.
+        params = ExperimentParams(n_rooms=64, master_seed=5)
+        runs = [replace(params, realizations=count) for count in (3, 30)]
+        counts = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            counts[-1] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        for run in runs:
+            counts.append(0)
+            run_experiment(run)
+        monkeypatch.undo()
+        assert counts[0] == counts[1] > 0
 
     def test_memory_does_not_grow_with_realizations(self):
-        # Each realization adds only its series (about 9 KiB here) to the
-        # peak; one block of all 64 trees would add about 17 MiB.
+        # Each realization adds only its integer sums (about 1.4 KiB here) to
+        # the peak; one block of all 64 trees would add about 17 MiB.
         params = ExperimentParams(n_rooms=512, master_seed=2024)
         run_experiment(replace(params, realizations=1))  # the shared tree shape
         peaks = {}
@@ -272,7 +312,7 @@ class TestBlocks:
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[64] < peaks[4] + (1 << 20)
+        assert peaks[64] < peaks[4] + (1 << 18)
 
     def test_outputs_do_not_depend_on_earlier_runs(self, tmp_path, capsys):
         # The benchmark's two configs and a blT occupancy grid, forward and
