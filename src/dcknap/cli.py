@@ -262,33 +262,19 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
-def _average_rows(average):
-    head = ["height", *ALL_METRICS]
-    rows = [head]
-    for h in range(average.height + 1):
+def _height_table(columns):
+    """Rows of a height x column table, `average_<alg>.csv` (a column per
+    metric) or `avg_<alg>_<METRIC>.csv` (a column per swept value), of
+    (label, first height, values) columns: values[i] is at height first + i,
+    and a column's other cells are empty (stepwise metrics start at 1, and
+    swept values can differ in tree height)."""
+    low = min(first for _, first, _ in columns)
+    top = max(first + len(values) for _, first, values in columns)
+    rows = [["height", *(label for label, _, _ in columns)]]
+    for h in range(low, top):
         row = [h]
-        for name in ALL_METRICS:
-            start = metric_start_height(name)
-            row.append("" if h < start else format_2dec(average.metric(name)[h - start]))
-        rows.append(row)
-    return rows
-
-
-def _metric_table(results, name):
-    """height x strategy-value table for one metric of a sweep.
-
-    Tree heights can differ across the domain (head fractions away from 0.5
-    deepen the tree); missing heights render as empty cells.
-    """
-    values = list(results)
-    start = metric_start_height(name)
-    top = max(results[v].average.height for v in values)
-    rows = [["height", *(_value_label(v) for v in values)]]
-    for h in range(start, top + 1):
-        row = [h]
-        for v in values:
-            series = results[v].average.metric(name)
-            row.append(format_2dec(series[h - start]) if h - start < len(series) else "")
+        for _, first, values in columns:
+            row.append(format_2dec(values[h - first]) if 0 <= h - first < len(values) else "")
         rows.append(row)
     return rows
 
@@ -336,15 +322,17 @@ def cmd_experiment(args) -> int:
         alg_params = _params_for(params, algorithm)
         if sweep_var is None:
             result = run_experiment(alg_params)
-            _write_csv(out_dir / f"average_{algorithm}.csv", _average_rows(result.average))
+            columns = [(m, metric_start_height(m), result.average.metric(m)) for m in ALL_METRICS]
+            _write_csv(out_dir / f"average_{algorithm}.csv", _height_table(columns))
             results = {"-": result}
         else:
             results = sweep(alg_params, sweep_var)
             for name in ALL_METRICS:
-                _write_csv(
-                    out_dir / f"avg_{algorithm}_{name}.csv",
-                    _metric_table(results, name),
+                start = metric_start_height(name)
+                table = _height_table(
+                    [(_value_label(v), start, r.average.metric(name)) for v, r in results.items()]
                 )
+                _write_csv(out_dir / f"avg_{algorithm}_{name}.csv", table)
             heights, mode = _critical_heights(results, config.aggregation)
             rows = [["metric", "critical_height"]]
             rows += [[name, h] for name, h in heights.items()]

@@ -275,11 +275,11 @@ def _shape(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: in
     return vertices, tuple(parents)
 
 
-def block_rows(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: int) -> int:
-    """How many trees of checked parameters (see `TreeParams`) one block
-    holds: as many as fit in `solvers.BLOCK_ROOMS` flat rooms (a tree's
-    vertex sizes summed), at least one."""
-    (places, *_), _ = _shape(algorithm, n_rooms, fraction, min_size)
+def block_rows(params: TreeParams, n_rooms: int) -> int:
+    """How many trees of `n_rooms` rooms one block holds: as many as fit in
+    `solvers.BLOCK_ROOMS` flat rooms (a tree's vertex sizes summed), at
+    least one."""
+    (places, *_), _ = _shape(params.algorithm, n_rooms, params.fraction, params.min_size)
     return max(1, solvers.BLOCK_ROOMS // len(places))
 
 

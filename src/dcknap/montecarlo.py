@@ -8,14 +8,17 @@ floor(occupancy * total capacity).
 Every random stream is derived from a single master seed with a stable
 SHA-256 construction, so experiments are reproducible byte for byte.  An
 experiment draws its realizations one index at a time and solves them in
-blocks of consecutive indices, one array pass per block.
+blocks of consecutive indices, one array pass per block.  Means are exact,
+so an experiment's memory and averaging time grow with its realization
+count by design: an averaged `SwE_LRS` cell gains about 150 bits of
+denominator per realization.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -42,7 +45,14 @@ UNIFORM_LOW, UNIFORM_HIGH = 40, 120  # inclusive support
 POISSON_MEAN = 65
 BINOMIAL_TRIALS, BINOMIAL_P = 480, 0.2
 
-SWEEP_VARIABLES = ("o", "r", "s", "f")
+#: The standard domain of each swept variable: occupancy, rate, sort key, head fraction.
+SWEEP_DOMAINS = {
+    "o": tuple(Fraction(k, 100) for k in range(50, 91, 5)),
+    "r": (34, 44, 54, 64, 74),
+    "s": SORT_KEYS,
+    "f": tuple(Fraction(k, 100) for k in range(35, 66, 5)),
+}
+SWEEP_VARIABLES = tuple(SWEEP_DOMAINS)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -163,6 +173,7 @@ class ExperimentParams:
     rounding: str = "ceil"
     realizations: int = 50
     master_seed: int = 0
+    tree: TreeParams = field(init=False, repr=False, compare=False)  # the checked tree fields
 
     def __post_init__(self):
         object.__setattr__(self, "occupancy", as_fraction(self.occupancy))
@@ -170,6 +181,7 @@ class ExperimentParams:
         tree = TreeParams(
             self.tree_alg, self.sort, self.head_fraction, self.min_size, self.rounding
         )
+        object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "head_fraction", tree.fraction)
         if not 0 < self.occupancy <= 1:
             raise InvalidParameterError(
@@ -214,11 +226,8 @@ def _realization_series(params: ExperimentParams, indices: range) -> list[tuple]
         seeds = [derive_seed(params.master_seed, i, 0, "sort") for i in indices]
     else:
         seeds = [params.sort.seed] * len(indices)
-    tree = TreeParams(
-        params.tree_alg, params.sort, params.head_fraction, params.min_size, params.rounding
-    )
     block = build_block(
-        capacities, proctors, weight_ranks(capacities, proctors), demands, tree, seeds
+        capacities, proctors, weight_ranks(capacities, proctors), demands, params.tree, seeds
     )
     return solve_trees(block)
 
@@ -231,26 +240,11 @@ def run_experiment(params: ExperimentParams) -> ExperimentResult:
     few integer sums per tree.  Output is a pure function of `params`:
     realizations are seeded by index and reduced in index order.
     """
-    rows = block_rows(params.tree_alg, params.n_rooms, params.head_fraction, params.min_size)
+    rows = block_rows(params.tree, params.n_rooms)
     sums = []
     for first in range(0, params.realizations, rows):
         sums += _realization_series(params, range(first, min(first + rows, params.realizations)))
     return ExperimentResult(average_sums(sums), tuple(sums))
-
-
-def default_domain(variable: str):
-    """The standard sweep domain of a strategy variable."""
-    if variable == "o":
-        return tuple(Fraction(k, 100) for k in range(50, 91, 5))
-    if variable == "r":
-        return (34, 44, 54, 64, 74)
-    if variable == "s":
-        return SORT_KEYS
-    if variable == "f":
-        return tuple(Fraction(k, 100) for k in range(35, 66, 5))
-    raise InvalidParameterError(
-        f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"
-    )
 
 
 def _with_value(params: ExperimentParams, variable: str, value) -> ExperimentParams:
@@ -278,7 +272,7 @@ def sweep(params: ExperimentParams, variable: str, domain=None) -> dict:
             f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}"
         )
     if domain is None:
-        domain = default_domain(variable)
+        domain = SWEEP_DOMAINS[variable]
     if not domain:
         raise InvalidParameterError("the sweep domain is empty")
     results = {}

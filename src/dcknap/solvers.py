@@ -25,7 +25,8 @@ one value-only DP per block, `_dp_values`, runs only where ceil(LRS) < UB:
 vertices of one axis and width class roll their rows as one matrix, one
 max-plus step per distinct room weight per batch, the largest group of
 each batch a gather.  `solve_triple`, `lp_relax_solve` and `dp_solve` run
-the same scan on one instance.
+the same scan on one instance.  One rule, `_dp_axis`, picks the DP axis and
+refuses an oversized DP, for `dp_solve`'s one vertex or a block's many.
 """
 
 from __future__ import annotations
@@ -206,21 +207,25 @@ def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(support)), sum(instance.proctors[i] for i in support)
 
 
-def _dp_axis(n: int, total_capacity: int, demand: int, ub: int) -> tuple[bool, int]:
-    """(indexed by cost, last column) of the exact DP's smaller axis: cost
-    0..UB (`_repaired_bound`) or budget 0..total capacity - demand.
+def _dp_axis(n, total_capacity, demand, ub):
+    """(indexed by cost, last column) of the exact DP's smaller axis, cost
+    0..UB (`_repaired_bound`) or budget 0..total capacity - demand, of one
+    vertex (ints) or of one vertex per entry (equal-length int64 arrays).
 
-    Raises SizeLimitError when the n + 1 row table would exceed
-    `DP_MAX_CELLS`, which bounds both the memory and the work.
+    Raises SizeLimitError for the first vertex whose n + 1 row table would
+    exceed `DP_MAX_CELLS`.  That bounds `dp_solve`'s memory and work, but in
+    the kernel, which keeps one row per vertex, only each vertex's work.
     """
     budget = total_capacity - demand
     by_cost = ub <= budget
-    width = ub if by_cost else budget
-    if (n + 1) * (width + 1) > DP_MAX_CELLS:
+    width = np.minimum(ub, budget)
+    too_big = (n + 1) * (width + 1) > DP_MAX_CELLS
+    if too_big.any():
+        i = too_big.argmax()  # the first offender raises what its scalar call raises
+        rows, cost, spare = (np.asarray(a).flat[i] + 1 for a in (n, ub, budget))
         raise SizeLimitError(
-            f"exact DP table of {n + 1} rows x {width + 1} columns exceeds "
-            f"{DP_MAX_CELLS} cells (cost axis {ub + 1}, "
-            f"budget axis {budget + 1} columns)"
+            f"exact DP table of {rows} rows x {width.flat[i] + 1} columns exceeds "
+            f"{DP_MAX_CELLS} cells (cost axis {cost}, budget axis {spare} columns)"
         )
     return by_cost, width
 
@@ -312,21 +317,14 @@ def _dp_values(caps: np.ndarray, prices: np.ndarray, covered, cost, offsets, dem
     at or below it, and a row with fewer rooms of weight w than W // w has
     its S(j) held at its last value, as if by rooms of value 0.  A batch's
     rows hold at most `_GROUP_CELLS` / 2 cells and each step's temporary at
-    most `_GROUP_CELLS` (or one and two rows, if longer).  `DP_MAX_CELLS` is
-    checked for every vertex before any row is allocated.
+    most `_GROUP_CELLS` (or one and two rows, if longer).  `_dp_axis` checks
+    every vertex against `DP_MAX_CELLS` before any row is allocated.
     """
     offsets = np.asarray(offsets)
     starts, ends = offsets[vertices], offsets[vertices + 1]
     sizes = ends - starts
-    total_cap = covered[ends] - covered[starts]
-    demand, ub = np.asarray(demands)[vertices], ub[vertices]
-    budget = total_cap - demand
-    by_cost = ub <= budget
-    width = np.where(by_cost, ub, budget)
-    too_big = (sizes + 1) * (width + 1) > DP_MAX_CELLS
-    if too_big.any():
-        v = int(np.argmax(too_big))
-        _dp_axis(int(sizes[v]), int(total_cap[v]), int(demand[v]), int(ub[v]))  # raises
+    demand = np.asarray(demands)[vertices]
+    by_cost, width = _dp_axis(sizes, covered[ends] - covered[starts], demand, ub[vertices])
 
     # frexp gives the bit length of width + 1.
     cls = 2 * np.frexp(width + 1)[1] + by_cost

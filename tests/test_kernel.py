@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcknap import (
     ExperimentParams,
     ProblemInstance,
+    SizeLimitError,
     SortCriterion,
     build_instance,
     build_tree,
@@ -343,6 +344,46 @@ def test_grouped_dp_temporary_is_capped():
         tracemalloc.stop()
     assert value == dp_solve(inst)[1]
     assert peak < 1 << 20
+
+
+@st.composite
+def dp_axis_vertices(draw):
+    """(size, total capacity, demand, UB) of 1 to 6 vertices, of which about
+    half have a table within one column of `DP_MAX_CELLS`, on either axis."""
+    vertices = []
+    for _ in range(draw(st.integers(1, 6))):
+        n, demand = draw(st.integers(1, 1 << 16)), draw(st.integers(0, 1 << 30))
+        if draw(st.booleans()):
+            width = max(0, solvers.DP_MAX_CELLS // (n + 1) - 1 + draw(st.integers(-1, 1)))
+            longer = width + draw(st.integers(0, 1000))
+            ub, budget = draw(st.sampled_from(((width, longer), (longer + 1, width))))
+        else:
+            ub, budget = draw(st.integers(0, 1 << 30)), draw(st.integers(0, 1 << 30))
+        vertices.append((n, demand + budget, demand, ub))
+    return vertices
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(dp_axis_vertices())
+@example([(1, 1 << 27, 1, (1 << 27) - 1), (1, 1 << 28, 0, 1 << 27)])  # 2^28 cells, then 2 more
+def test_dp_axis_on_arrays_is_the_scalar_rule(vertices):
+    # Entry by entry the scalar results, or the scalar error of the first
+    # vertex whose table is too big.
+    outcomes = []
+    for vertex in vertices:
+        try:
+            outcomes.append(solvers._dp_axis(*vertex))
+        except SizeLimitError as exc:
+            outcomes.append(str(exc))
+    columns = [np.array(column, np.int64) for column in zip(*vertices)]
+    errors = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    if errors:
+        with pytest.raises(SizeLimitError) as raised:
+            solvers._dp_axis(*columns)
+        assert str(raised.value) == errors[0]
+    else:
+        by_cost, width = solvers._dp_axis(*columns)
+        assert list(zip(by_cost.tolist(), width.tolist())) == outcomes
 
 
 def batched_dps(tree, cells=None):

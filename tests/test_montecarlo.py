@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -30,11 +31,11 @@ from dcknap import (
     write_rooms_csv,
 )
 from dcknap import dctree, metrics, montecarlo, solvers
-from dcknap.cli import main
-from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, build_tree
+from dcknap.cli import _params_for, main
+from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, TreeParams, build_tree
 from dcknap.montecarlo import DISTRIBUTIONS
 from dcknap.solvers import SORT_KEYS
-from conftest import fraction_series, reference_realization_series
+from conftest import PERFBENCH, fraction_series, reference_realization_series
 
 
 class TestSampling:
@@ -146,6 +147,23 @@ class TestExperimentParams:
     def test_unknown_distribution(self):
         with pytest.raises(InvalidParameterError):
             ExperimentParams(dist="zipf")
+
+    def test_resolved_tree_params_are_never_stale(self, tmp_path, capsys):
+        # Every construction, `replace` included, builds `tree` from the
+        # params' own tree fields: every sweep point and the blT twin.
+        hlt = ExperimentParams(n_rooms=16, sort=SortCriterion("random", 3), min_size=2, rounding="floor")
+        blt = replace(hlt, tree_alg="blT", head_fraction=None)
+        points = [hlt, blt, _params_for(hlt, "blT")]
+        for variable, domain in montecarlo.SWEEP_DOMAINS.items():
+            for params in (hlt,) if variable == "f" else (hlt, blt):
+                points += [montecarlo._with_value(params, variable, value) for value in domain]
+        for p in points:
+            assert p.tree == TreeParams(p.tree_alg, p.sort, p.head_fraction, p.min_size, p.rounding)
+        assert "tree=" not in repr(hlt) and "TreeParams" not in repr(hlt)
+        config = tmp_path / "config.txt"
+        config.write_text("tree=hlT\n")
+        assert main(["experiment", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: tree\n"
 
 
 SMALL = ExperimentParams(
@@ -317,7 +335,9 @@ class TestBlocks:
     def test_outputs_do_not_depend_on_earlier_runs(self, tmp_path, capsys):
         # The benchmark's two configs and a blT occupancy grid, forward and
         # then backward in one interpreter: their trees fill blocks of 4 with
-        # a short last one of 2, blocks of 2, and blocks of 4 and 3.
+        # a short last one of 2, blocks of 2, and blocks of 4 and 3.  Each
+        # out-dir is hashed as the benchmark's `digest_dir` hashes it, so the
+        # two benchmark configs must give its reference digests.
         configs = [
             "n_rooms=512\noccupancy=0.9\nrate=54\ntree_alg=hlT\nmin_size=4\nrealizations=50\n",
             "n_rooms=1024\ndist=binomial\noccupancy=0.3\nmin_size=32\nrealizations=2\nsweep=s\n",
@@ -331,10 +351,14 @@ class TestBlocks:
             assert main(["experiment", str(config), "--out-dir", str(out_dir)]) == 0
             digest = hashlib.sha256()
             for path in sorted(out_dir.iterdir()):
-                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+                data = path.read_bytes()
+                digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
             digests.setdefault(k, set()).add(digest.hexdigest())
         capsys.readouterr()
         assert all(len(found) == 1 for found in digests.values())
+        reference = json.loads((PERFBENCH / "reference.json").read_text())
+        assert digests[0] == {reference["ref_hlT"]["digest"]}
+        assert digests[1] == {reference["dp_heavy"]["digest"]}
 
 
 class TestSweep:
