@@ -359,33 +359,17 @@ def cmd_experiment(args) -> int:
         if all(m is not None for m in modes):
             h_tilde = min(modes)
             first, second = (per_alg[a][0] for a in algorithms)
-            rows = [
-                [
-                    "value",
-                    f"{algorithms[0]}_all",
-                    f"{algorithms[1]}_all",
-                    "winner_all",
-                    f"{algorithms[0]}_gbe_dps",
-                    f"{algorithms[1]}_gbe_dps",
-                    "winner_gbe_dps",
-                ]
-            ]
             norms_a = _norms(first, h_tilde)
             norms_b = _norms(second, h_tilde)
+            # One (first, second, winner) triple per norm of `_norms`.
+            labels = (*algorithms, "winner")
+            rows = [["value"] + [f"{label}_{norm}" for norm in ("all", "gbe_dps") for label in labels]]
             for v in first:
-                cmp_all = l1_compare([norms_a[v][0]], [norms_b[v][0]], labels=algorithms)
-                cmp_dps = l1_compare([norms_a[v][1]], [norms_b[v][1]], labels=algorithms)
-                rows.append(
-                    [
-                        _value_label(v),
-                        format_2dec(cmp_all.norm_a),
-                        format_2dec(cmp_all.norm_b),
-                        cmp_all.winner,
-                        format_2dec(cmp_dps.norm_a),
-                        format_2dec(cmp_dps.norm_b),
-                        cmp_dps.winner,
-                    ]
-                )
+                row = [_value_label(v)]
+                for norm_a, norm_b in zip(norms_a[v], norms_b[v]):
+                    cmp = l1_compare([norm_a], [norm_b], labels=algorithms)
+                    row += [format_2dec(cmp.norm_a), format_2dec(cmp.norm_b), cmp.winner]
+                rows.append(row)
             _write_csv(out_dir / "l1_comparison.csv", rows)
 
     _write_csv(out_dir / "plot_data.csv", plot_rows)

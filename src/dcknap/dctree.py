@@ -6,7 +6,8 @@ tree (hlT) puts the first floor(fraction * size) rooms of the (once-sorted)
 list into the left child; the balanced tree (blT) puts the even positions
 left and the odd positions right.  `TreeParams` checks the parameters and
 owns the one default: an hlT tree without a head fraction splits at 1/2.
-Vertices are numbered in left pre-order, root = 0.
+Vertices are numbered in left pre-order, root = 0, as one walk over an
+explicit stack grows them.
 
 A `DCTree` is a block of same-shape trees as integer arrays, one tree per
 row: every vertex is a run of `places`, the shape's array of places in its
@@ -213,66 +214,47 @@ def _shape(algorithm: str, n_rooms: int, fraction: Fraction | None, min_size: in
     (places, first, size, heights, left, right) as `DCTree` holds them, and
     per splitting level the numbers of its (parents, left and right children).
 
-    Grown one level at a time, each vertex a strided slice of the root
-    order (start, step, size): a level's children are the left children of
-    its splitting vertices, then their right children; subtree sizes then
-    give the pre-order numbers, and the slices in pre-order give `places`.
-    Keyed by value, so it holds no instance.
+    Grown in one pre-order walk over an explicit stack (an hlT tree with a
+    head fraction near 1 is thousands of levels deep), each vertex a strided
+    slice of the root order (start, step, size), numbered as it is popped.
+    A splitting vertex pushes its right child, then its left, so the left
+    child is the next vertex.  Keyed by value, so it holds no instance.
     """
-    # A level's vertices as the rows start, step, size.
-    level = np.array([[0], [1], [n_rooms]], dtype=np.int64)
-    levels, splits = [], []
-    while True:
-        levels.append(level)
-        size = level[2]
+    rows, left, right, inner = [], [], [], []  # inner[h]: splitting vertices at height h
+    stack = [(0, 1, n_rooms, 0, -1)]  # start, step, size, height, whose right child
+    while stack:
+        start, step, size, height, right_of = stack.pop()
+        v = len(rows)
+        rows.append((start, step, size, height))
+        left.append(-1)
+        right.append(-1)
+        if right_of >= 0:
+            right[right_of] = v
         if algorithm == HEAD_LEFT:
-            # floor(f * size) in Python ints, over the level's few distinct
-            # sizes: f's numerator may be near or past 2^63.
-            sizes, at = np.unique(size, return_inverse=True)
-            left_size = np.array(
-                [s * fraction.numerator // fraction.denominator for s in sizes.tolist()], np.int64
-            )[at]
-        else:
-            left_size = (size + 1) // 2
-        split = (size > min_size) & (left_size > 0) & (left_size < size)
-        if not split.any():
-            break
-        splits.append(split)
-        start, step, size = level[:, split]
-        left_size = left_size[split]
-        if algorithm == HEAD_LEFT:
+            # floor(f * size) in Python ints: f's numerator may pass 2^63.
+            left_size = size * fraction.numerator // fraction.denominator
             right_start = start + left_size
         else:
+            left_size = (size + 1) // 2
             right_start, step = start + step, 2 * step
-        level = np.array([(start, right_start), (step, step), (left_size, size - left_size)]).reshape(3, -1)
+        if size > min_size and 0 < left_size < size:
+            left[v] = v + 1
+            if height == len(inner):
+                inner.append([])
+            inner[height].append(v)
+            stack.append((right_start, step, size - left_size, height + 1, v))
+            stack.append((start, step, left_size, height + 1, -1))
 
-    # Subtree sizes bottom-up, then pre-order numbers top-down: a left child
-    # follows its parent, a right child follows its left sibling's subtree.
-    subtree = [np.ones(levels[-1].shape[1], np.int64)]
-    for split in reversed(splits):
-        sizes = np.ones(len(split), np.int64)
-        sizes[split] += subtree[0].reshape(2, -1).sum(axis=0)
-        subtree.insert(0, sizes)
-    count = int(subtree[0][0])
-    left, right = np.full(count, -1), np.full(count, -1)
-    number, parents = [np.zeros(1, np.int64)], []
-    for split, below in zip(splits, subtree[1:]):
-        parent = number[-1][split]
-        left[parent] = parent + 1
-        right[parent] = parent + 1 + below[: len(parent)]
-        number.append(np.concatenate((left[parent], right[parent])))
-        parents.append((parent, left[parent], right[parent]))
-    heights = np.repeat(np.arange(len(levels)), [level.shape[1] for level in levels])
-    # `number` is a permutation of the vertices, so the gather sets each one.
-    in_order = np.argsort(np.concatenate(number))
-    start, step, size = np.concatenate(levels, axis=1)[:, in_order]
+    start, step, size, heights = np.array(rows, np.int64).T.copy()
+    left, right = np.array(left, np.int64), np.array(right, np.int64)
     first = np.cumsum(size) - size
     local = np.arange(int(size.sum())) - np.repeat(first, size)  # place in the vertex
     places = np.repeat(start, size) + np.repeat(step, size) * local
-    vertices = (places, first, size, heights[in_order], left, right)
-    for array in (*vertices, *(a for level in parents for a in level)):
+    vertices = (places, first, size, heights, left, right)
+    levels = tuple((parents, left[parents], right[parents]) for parents in map(np.array, inner))
+    for array in (*vertices, *(a for level in levels for a in level)):
         array.flags.writeable = False
-    return vertices, tuple(parents)
+    return vertices, levels
 
 
 def block_rows(params: TreeParams, n_rooms: int) -> int:

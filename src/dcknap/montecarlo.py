@@ -20,7 +20,7 @@ import csv
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -92,21 +92,15 @@ def sample_capacities(dist: str, n: int, seed: int) -> tuple[int, ...]:
     """Draw `n` positive room capacities from the named distribution."""
     _check_room_count(dist, n)
     rng = np.random.default_rng(seed)
-    if dist == "uniform":
-        caps = rng.integers(UNIFORM_LOW, UNIFORM_HIGH + 1, size=n)
-    elif dist == "poisson":
-        caps = rng.poisson(POISSON_MEAN, size=n)
-    else:
-        caps = rng.binomial(BINOMIAL_TRIALS, BINOMIAL_P, size=n)
+    draw = {
+        "uniform": partial(rng.integers, UNIFORM_LOW, UNIFORM_HIGH + 1),
+        "poisson": partial(rng.poisson, POISSON_MEAN),
+        "binomial": partial(rng.binomial, BINOMIAL_TRIALS, BINOMIAL_P),
+    }[dist]
+    caps = draw(size=n)
     # A zero-capacity room would cost zero proctors; redraw until positive.
-    while True:
-        zero = caps == 0
-        if not zero.any():
-            break
-        if dist == "poisson":
-            caps[zero] = rng.poisson(POISSON_MEAN, size=int(zero.sum()))
-        else:
-            caps[zero] = rng.binomial(BINOMIAL_TRIALS, BINOMIAL_P, size=int(zero.sum()))
+    while (zero := caps == 0).any():
+        caps[zero] = draw(size=int(zero.sum()))
     return tuple(caps.tolist())
 
 

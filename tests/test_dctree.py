@@ -21,6 +21,7 @@ from dcknap import (
     split_demand,
     to_dot,
 )
+from dcknap import dctree
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS, TreeParams, build_block
 from dcknap.model import weight_ranks
 from dcknap.solvers import SORT_KEYS
@@ -492,6 +493,26 @@ class TestShape:
     def test_every_spelling_of_one_half_shares_one_shape(self, r1_instance, fraction):
         half = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2))
         assert build_tree(r1_instance, "hlT", GAMMA, fraction).places is half.places
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        # Each split at 999/1000 sheds a room or a few to the right, so 4,096
+        # rooms make 2,100 levels, more frames than Python's default limit.
+        tree = build_tree(LARGE, "hlT", GAMMA, Fraction(999, 1000), 2)
+        assert (tree.height, len(tree.size)) == (2100, 5985)
+        inner = np.flatnonzero(tree.left >= 0)
+        left, right = tree.left[inner], tree.right[inner]
+        assert (left == inner + 1).all()
+        assert sorted(np.concatenate((left, right)).tolist()) == list(range(1, len(tree.size)))
+        for child in (left, right):
+            assert (tree.heights[child] == tree.heights[inner] + 1).all()
+        assert (tree.size[left] + tree.size[right] == tree.size[inner]).all()
+        assert (tree.demand[:, left] + tree.demand[:, right] == tree.demand[:, inner]).all()
+        _, levels = dctree._shape("hlT", LARGE.n_rooms, Fraction(999, 1000), 2)
+        assert len(levels) == tree.height
+        for h, (parents, lefts, rights) in enumerate(levels):
+            assert (tree.heights[parents] == h).all()
+            assert (lefts == tree.left[parents]).all() and (rights == tree.right[parents]).all()
+        assert sorted(np.concatenate([parents for parents, _, _ in levels]).tolist()) == inner.tolist()
 
     def test_cache_holds_no_instance(self):
         enabled = gc.isenabled()

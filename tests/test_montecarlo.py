@@ -78,6 +78,28 @@ class TestSampling:
         with pytest.raises(InvalidParameterError, match="2147483647"):
             ExperimentParams(n_rooms=60_000_000)
 
+    @pytest.mark.parametrize(
+        "dist, args",
+        [("poisson", (montecarlo.POISSON_MEAN,)), ("binomial", (montecarlo.BINOMIAL_TRIALS, montecarlo.BINOMIAL_P))],
+    )
+    def test_zero_draws_are_redrawn_from_the_same_distribution(self, monkeypatch, dist, args):
+        # No real draw holds a zero (P is about e^-65 for Poisson, 0.8^480 for
+        # binomial), so a stub generator hands out zeros: three, then one.
+        draws = iter([np.array([0, 3, 0, 5, 0]), np.array([0, 7, 8]), np.array([9])])
+        calls = []
+
+        class Generator:
+            def __getattr__(self, name):
+                def draw(*params, size):
+                    calls.append((name, params, size))
+                    return next(draws)
+
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
+        assert sample_capacities(dist, 5, seed=0) == (9, 3, 7, 5, 8)
+        assert calls == [(dist, args, 5), (dist, args, 3), (dist, args, 1)]
+
     def test_room_count_limit_is_the_smallest_total(self):
         limit = 2**31 - 1
         ExperimentParams(n_rooms=limit // 40)
