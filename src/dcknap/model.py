@@ -132,28 +132,18 @@ def weight_ranks(capacities, proctors) -> np.ndarray:
     a block of instances, one per row, each row is ordered as by its own
     rank.  Both values of a room are integers in [1, 2^31).
 
-    Exact on integers: each pair is reduced by its gcd, so equal ratios
-    become one distinct pair (c << 31 | p), and the distinct ratios are
-    ordered by their float quotient.  Correctly rounded division never
-    inverts an exact order; where one float covers several ratios, those
-    are ordered by c1 * p2 against c2 * p1 (< 2^62).
+    Exact on integers: each distinct pair (c << 31 | p) is keyed by the
+    Python int (c << 62) // p, and a pair's rank is the place of its key
+    among the distinct keys in descending order.  Flooring keeps the order,
+    and equal ratios get equal keys.  Two distinct ratios differ by
+    |c p' - c' p| / (p p') >= 1 / (p p') > 2^-62, so their scaled values
+    differ by more than 1 and their keys differ.
     """
     c, p = np.asarray(capacities, np.int64), np.asarray(proctors, np.int64)
-    g = np.gcd(c, p)
-    pairs, room_pair = np.unique((c // g) << 31 | p // g, return_inverse=True)
-    c, p = pairs >> 31, pairs & (2**31 - 1)
-    ratio = c / p
-    order = np.argsort(-ratio)
-    edges = np.flatnonzero(np.diff(ratio[order])) + 1
-    lo, hi = np.append(0, edges), np.append(edges, len(order))
-    for a, b in zip(lo[hi - lo > 1].tolist(), hi[hi - lo > 1].tolist()):
-        tie = order[a:b]
-        # Place each tied ratio by how many of the others are larger.
-        larger = c[tie, None] * p[tie] < c[tie] * p[tie, None]
-        order[a:b] = tie[np.argsort(larger.sum(axis=1))]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))  # `order` is a permutation: every cell is set
-    return rank[room_pair].reshape(np.shape(capacities))
+    pairs, room_pair = np.unique(c << 31 | p, return_inverse=True)
+    keys = [(c << 62) // p for c, p in zip((pairs >> 31).tolist(), (pairs & (2**31 - 1)).tolist())]
+    rank = {key: r for r, key in enumerate(sorted(set(keys), reverse=True))}
+    return np.array([rank[key] for key in keys], np.int64)[room_pair].reshape(np.shape(capacities))
 
 
 def proctors_from_rate(capacities, rate: int) -> tuple[int, ...]:

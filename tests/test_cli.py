@@ -480,6 +480,7 @@ class TestExperiment:
             "sort=random\nsort_seed=-1",
             "occupancy=1e-1000000",
             "head_fraction=1e1000000",
+            "realizations=0",
         ],
     )
     def test_bad_config_number_exits_2(self, tmp_path, capsys, line):
@@ -494,6 +495,7 @@ class TestExperiment:
             "min_size=0": "error: min_size must be >= 1",
             "head_fraction=3/2": "error: head fraction must lie in [0, 1]",
             "sort=random\nsort_seed=-1": "error: sort seed must be >= 0",
+            "realizations=0": "error: need at least one realization",
         }.get(line, f"error: {key}: cannot parse")
         assert err.startswith(expected)
         assert not out_dir.exists()

@@ -68,6 +68,11 @@ class TestRealizationOneSeries:
         assert series.lrs[0] == Fraction(1595, 113)
         assert series.gbe_dps[1] == Fraction(100, 15)
 
+    def test_unknown_metric_name_is_refused(self, series):
+        assert series.metric("GbE_DPS") == series.gbe_dps
+        with pytest.raises(InvalidParameterError, match="unknown metric 'XYZ'"):
+            series.metric("XYZ")
+
 
 class TestSingleNodeTree:
     def test_series_collapses_to_the_root_triple(self, r1_instance):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcknap import (
@@ -55,7 +55,7 @@ def fraction_ranks(caps, proctors):
 @st.composite
 def rank_rooms(draw):
     """(capacities, proctors): rated rooms, multiples of a few ratios such as
-    54/1 and 108/2, or up to 3 rooms near 2^29 whose quotients tie as floats."""
+    54/1 and 108/2, or up to 3 rooms near 2^29 whose ratios lie within 2^-52."""
     style = draw(st.sampled_from(("rate", "tied", "near")))
     if style == "rate":
         caps = draw(st.lists(st.integers(1, 200), min_size=1, max_size=60))
@@ -65,9 +65,9 @@ def rank_rooms(draw):
         ratios = draw(st.lists(base, min_size=1, max_size=4))
         picks = draw(st.lists(st.tuples(st.sampled_from(ratios), st.integers(1, 9)), min_size=1, max_size=40))
         return [k * c for (c, _), k in picks], [k * p for (_, p), k in picks]
-    # (p + d) / p and (p' + d) / p' differ by about d (p' - p) / 2^58 <= 2^-52
-    # here, the float spacing at 1, so they mostly round to one float.  Below
-    # 1 (d < 0) the smaller capacity has the smaller ratio.
+    # A hard case: (p + d) / p and (p' + d) / p' differ by only about
+    # d (p' - p) / 2^58.  Below 1 (d < 0) the smaller capacity has the
+    # smaller ratio.
     proctors = draw(st.lists(st.integers(2**29 - 21, 2**29), min_size=1, max_size=3))
     return [p + draw(st.integers(-3, 3)) for p in proctors], proctors
 
@@ -96,6 +96,17 @@ class TestWeightRanks:
         caps, proctors = (10**9 + 1, 10**9 + 2), (10**9, 10**9 + 1)
         assert caps[0] / proctors[0] == caps[1] / proctors[1]
         assert ProblemInstance(caps, proctors, 0).weight_ranks.tolist() == [0, 1]
+
+    # Ratios of values near 2^31, where keys (c << 62) // p of distinct ratios
+    # come closest: the example's three adjacent ratios have keys 1 apart.  A
+    # ProblemInstance refuses such totals, so the arrays are ranked directly.
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(2**31 - 64, 2**31 - 1), st.integers(2**31 - 64, 2**31 - 1)),
+                    min_size=1, max_size=20))
+    @example([(2**31 - 1, 2**31 - 2), (2**31 - 2, 2**31 - 3), (2**31 - 3, 2**31 - 4)])
+    def test_exact_where_the_key_is_tight(self, rooms):
+        caps, proctors = zip(*rooms)
+        assert weight_ranks(caps, proctors).tolist() == fraction_ranks(caps, proctors)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.lists(rank_rooms(), min_size=1, max_size=5))
@@ -162,6 +173,14 @@ class TestValidation:
         except (InvalidParameterError, InfeasibleError) as exc:
             raised = (type(exc), str(exc))
         assert raised == expected
+
+    def test_a_block_raises_infeasible_for_its_first_infeasible_row(self):
+        caps, proctors = np.array([[5, 6], [5, 6]]), np.ones((2, 2), np.int64)
+        with pytest.raises(InfeasibleError) as raised:
+            require_instances(caps, proctors, np.array([11, 12]))
+        with pytest.raises(InfeasibleError) as expected:
+            ProblemInstance((5, 6), (1, 1), 12).require_feasible()
+        assert str(raised.value) == str(expected.value)
 
     def test_feasibility_predicate(self):
         assert ProblemInstance((5, 6), (1, 1), 11).is_feasible()

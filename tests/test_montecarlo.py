@@ -466,6 +466,11 @@ class TestRoomsCsv:
             (label, r.capacities, r.demand) for label, r in zip(labels, batch)
         ]
 
+    def test_unequal_room_counts_are_refused(self):
+        batch = [Realization((1, 2), 1), Realization((1, 2, 3), 1)]
+        with pytest.raises(InvalidParameterError, match="same room count"):
+            write_rooms_csv(io.StringIO(), batch)
+
     def test_sample_fixture_parses(self, rooms_csv):
         with open(rooms_csv, newline="") as stream:
             columns = read_rooms_csv(stream)
