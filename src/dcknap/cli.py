@@ -91,20 +91,21 @@ def _load_column(args) -> tuple[str, ProblemInstance]:
     priced at `args.rate` students per proctor."""
     with open(args.file, newline="") as stream:
         columns = read_rooms_csv(stream)
-    by_label = {column[0]: column for column in columns}
+    matches = [k for k, column in enumerate(columns, 1) if column[0] == args.column]
+    if len(matches) > 1:
+        raise InvalidParameterError(
+            f"column label {args.column!r} names columns {matches} of {args.file}; give an index"
+        )
     try:
-        k = int(args.column)
+        k = matches[0] if matches else int(args.column)
     except ValueError:
-        k = None
-    if args.column in by_label:
-        label, caps, demand = by_label[args.column]
-    elif k is not None and 1 <= k <= len(columns):
-        label, caps, demand = columns[k - 1]
-    else:
+        k = 0
+    if not 1 <= k <= len(columns):
         raise InvalidParameterError(
             f"no column {args.column!r} in {args.file}; "
             f"available: {[c[0] for c in columns]}"
         )
+    label, caps, demand = columns[k - 1]
     return label, ProblemInstance(caps, proctors_from_rate(caps, args.rate), demand)
 
 

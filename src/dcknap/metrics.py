@@ -16,14 +16,13 @@ and the bound gaps at each height are
 Everything is exact rational arithmetic; rendering rounds half-up to two
 decimals only at the edge.  `solve_trees` reduces a block of same-shape
 trees (a `DCTree`), solved by the `solvers` kernel, to a few int sums per
-tree and height, so every per-tree cell is a ratio of ints: `average_sums`
-builds one Fraction per output cell and none per tree.
+tree and height over one LRS denominator per block, so every per-tree
+cell is a ratio of ints: `average_sums` builds one Fraction per output cell.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,32 +130,26 @@ def solve_trees(tree: DCTree) -> list[tuple]:
     At height h a vertex counts when it sits at h or is a leaf above h.  LRS
     numerators are summed per (tree, height, distinct denominator) in int64:
     for one denominator d the numerators of any set of disjoint vertices
-    total at most d * (total proctors) < 2^62.  b, the lcm of the tree's
-    distinct denominators, can pass 2^63.
+    total at most d * (total proctors) < 2^62.  b, the lcm of the block's
+    distinct denominators, is shared by its trees and can pass 2^63.
     """
     num, den, dps, gas = solve_block(
         tree.capacities, tree.proctors, tree.ranks, tree.order, tree.places, tree.size, tree.demand
     )
-    trees = np.arange(len(num))[:, None]
     keys, den_at = np.unique(den, return_inverse=True)
-    den_at, width = den_at.reshape(den.shape), len(keys)
-    has = np.zeros((len(num), width), bool)
-    has[trees, den_at] = True  # tree t has a vertex over denominator keys[i]
+    width = len(keys)
     # sums[tree, leaf, h, column]: LRS numerators per denominator, then DPS and GAS.
     sums = np.zeros((len(num), 2, tree.height + 1, width + 2), np.int64)
-    at = (trees, (tree.left < 0).astype(np.intp), tree.heights)
-    np.add.at(sums, (*at, den_at), num)
+    at = (np.arange(len(num))[:, None], (tree.left < 0).astype(np.intp), tree.heights)
+    np.add.at(sums, (*at, den_at.reshape(den.shape)), num)
     np.add.at(sums, (*at, width), dps)
     np.add.at(sums, (*at, width + 1), gas)
     sums = sums[:, 0] + np.cumsum(sums[:, 1], axis=1)
 
-    keys, result = keys.tolist(), []
-    for rows, tree_has in zip(sums.tolist(), has.tolist()):
-        b = math.lcm(*(d for d, h in zip(keys, tree_has) if h))
-        scale = [b // d if h else 0 for d, h in zip(keys, tree_has)]
-        a = tuple(sum(map(operator.mul, row, scale)) for row in rows)  # map stops at DPS
-        result.append((a, b, tuple(row[-2] for row in rows), tuple(row[-1] for row in rows)))
-    return result
+    b = math.lcm(*keys.tolist())
+    a = sums[..., :width].astype(object).dot(np.array([b // d for d in keys.tolist()], object))
+    dps, gas = sums[..., width].tolist(), sums[..., width + 1].tolist()
+    return [(tuple(x), b, tuple(d), tuple(g)) for x, d, g in zip(a.tolist(), dps, gas)]
 
 
 def _column(name: str, sums: tuple) -> list[tuple[int, int]]:
@@ -212,6 +205,7 @@ def critical_height(columns: Mapping[object, Sequence], aggregation: str = "mean
     strategy values of value(h) - value(h-1); the returned position is the
     first h >= 2 with step(h) > 2 * step(h-1), or H when growth never
     doubles.  Beyond that point the decomposition is considered degraded.
+    "mean" compares sums, which order as the means do: all share one count.
     """
     if aggregation not in AGGREGATIONS:
         raise InvalidParameterError(f"aggregation must be one of {AGGREGATIONS}")
@@ -221,22 +215,16 @@ def critical_height(columns: Mapping[object, Sequence], aggregation: str = "mean
     length = len(series[0])
     if any(len(s) != length for s in series):
         raise InvalidParameterError("all series must have the same length")
-    top = length - 1
-    if top < 2:
+    if length < 3:
         raise InvalidParameterError("series must cover at least positions 0..2")
 
-    slopes = []
-    for h in range(1, length):
-        steps = [as_fraction(s[h]) - as_fraction(s[h - 1]) for s in series]
-        if aggregation == "mean":
-            slopes.append(sum(steps, Fraction(0)) / len(steps))
-        else:
-            slopes.append(max(steps))
+    aggregate = sum if aggregation == "mean" else max
     # slopes[k] is the step into position k+1
-    for h in range(2, top + 1):
+    slopes = [aggregate(as_fraction(s[h]) - as_fraction(s[h - 1]) for s in series) for h in range(1, length)]
+    for h in range(2, length):
         if slopes[h - 1] > 2 * slopes[h - 2]:
             return h
-    return top
+    return length - 1
 
 
 def critical_height_mode(heights: Sequence[int]) -> int:

@@ -53,6 +53,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def twin_labels(tmp_path):
+    """A rooms CSV whose first two columns share the label x."""
+    rooms = tmp_path / "twins.csv"
+    rooms.write_text("room,x,x,y\n0,5,6,7\n1,5,6,7\nSUM,10,12,14\nDEMAND,3,4,5\n")
+    return rooms
+
+
 class TestGenerate:
     def test_shape(self, tmp_path, capsys):
         out = tmp_path / "rooms.csv"
@@ -263,6 +270,15 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", str(rooms_csv), "--column", "nope")
         assert code == 2
 
+    def test_ambiguous_label_exits_2(self, tmp_path, capsys):
+        rooms = twin_labels(tmp_path)
+        code, out, err = run(capsys, "solve", str(rooms), "--column", "x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: column label 'x' names columns [1, 2] of ")
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, "solve", str(rooms), "--column", "2")
+        assert code == 0 and "demand=4" in out
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         rooms = tmp_path / "rooms.csv"
         rooms.write_bytes(b"room,a\n0,\xff\nSUM,1\nDEMAND,1\n")
@@ -324,6 +340,12 @@ class TestTree:
         assert code == 0
         assert out == README_TREE
         assert dot.read_text() == README_DOT
+
+    def test_ambiguous_label_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "tree", str(twin_labels(tmp_path)), "--column", "x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: column label 'x' names columns [1, 2] of ")
+        assert "Traceback" not in err
 
     def test_head_left_demand_row(self, rooms_csv, capsys):
         code, out, _ = run(

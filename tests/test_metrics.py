@@ -19,7 +19,7 @@ from dcknap import (
     solve_tree,
     solve_triple,
 )
-from dcknap.metrics import ALL_METRICS
+from dcknap.metrics import AGGREGATIONS, ALL_METRICS
 from conftest import random_instance
 
 GAMMA = SortCriterion("specific_weight")
@@ -124,7 +124,35 @@ class TestSeriesInvariants:
             assert series.gbe_lrs[0] == series.gbe_dps[0] == series.gbe_gas[0] == 0
 
 
+def mean_rule(columns, aggregation):
+    """Reference critical height that takes true means: for "mean", each
+    position's step sum is divided by the number of strategy values."""
+    series = [[Fraction(v) for v in column] for column in columns.values()]
+    slopes = []
+    for h in range(1, len(series[0])):
+        steps = [s[h] - s[h - 1] for s in series]
+        slopes.append(sum(steps, Fraction(0)) / len(steps) if aggregation == "mean" else max(steps))
+    for h in range(2, len(series[0])):
+        if slopes[h - 1] > 2 * slopes[h - 2]:
+            return h
+    return len(series[0]) - 1
+
+
+@st.composite
+def strategy_columns(draw):
+    """1-6 strategy values of 3-12 positions each, ints and Fractions in
+    [-50, 50], so steps can be negative, zero or equal."""
+    length = draw(st.integers(3, 12))
+    values = st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=6))
+    return {k: draw(st.lists(values, min_size=length, max_size=length)) for k in range(draw(st.integers(1, 6)))}
+
+
 class TestCriticalHeight:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(strategy_columns(), st.sampled_from(AGGREGATIONS))
+    def test_sums_pick_the_height_means_pick(self, columns, aggregation):
+        assert critical_height(columns, aggregation) == mean_rule(columns, aggregation)
+
     def test_printed_rate_table_mean(self):
         assert critical_height(rate_columns(), "mean") == 5
 

@@ -340,7 +340,7 @@ class TestBlocks:
         assert counts[0] == counts[1] > 0
 
     def test_memory_does_not_grow_with_realizations(self):
-        # Each realization adds only its integer sums (about 1.4 KiB here) to
+        # Each realization adds only its integer sums (about 1.3 KiB here) to
         # the peak; one block of all 64 trees would add about 17 MiB.
         params = ExperimentParams(n_rooms=512, master_seed=2024)
         run_experiment(replace(params, realizations=1))  # the shared tree shape
