@@ -4,7 +4,9 @@ Subcommands:
   generate    sample realization batches into a rooms CSV
   solve       run the greedy / exact / relaxation solvers on one column
   tree        print a decomposition tree's vertex-membership table
-  experiment  run a seeded experiment grid from a key=value config file
+  experiment  run a seeded experiment grid from a key=value config file; a
+              sweep also writes critical heights, the l1 norms of `_L1_NORMS`
+              and, with tree_alg=both, the hlT-vs-blT `l1_compare` scoreboard
 
 Exit codes: 0 success, 1 infeasible problem, 2 usage or config error,
 3 I/O failure.
@@ -87,25 +89,26 @@ def cmd_generate(args) -> int:
 
 
 def _load_column(args) -> tuple[str, ProblemInstance]:
-    """(label, instance) of column `args.column` of the rooms CSV `args.file`,
-    priced at `args.rate` students per proctor."""
+    """(label, instance) of column `args.column` of the rooms CSV `args.file` at
+    `args.rate` students per proctor.  `args.column` names each column it labels
+    and the one at its 1-based index (`+N` is an index only); two are refused."""
     with open(args.file, newline="") as stream:
         columns = read_rooms_csv(stream)
-    matches = [k for k, column in enumerate(columns, 1) if column[0] == args.column]
+    try:
+        index = int(args.column)
+    except ValueError:
+        index = 0
+    matches = [k for k, column in enumerate(columns, 1) if column[0] == args.column or k == index]
     if len(matches) > 1:
         raise InvalidParameterError(
             f"column label {args.column!r} names columns {matches} of {args.file}; give an index"
         )
-    try:
-        k = matches[0] if matches else int(args.column)
-    except ValueError:
-        k = 0
-    if not 1 <= k <= len(columns):
+    if not matches:
         raise InvalidParameterError(
             f"no column {args.column!r} in {args.file}; "
             f"available: {[c[0] for c in columns]}"
         )
-    label, caps, demand = columns[k - 1]
+    label, caps, demand = columns[matches[0] - 1]
     return label, ProblemInstance(caps, proctors_from_rate(caps, args.rate), demand)
 
 
@@ -141,6 +144,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    """The membership table, each row built from the vertices holding its room only."""
     _, instance = _load_column(args)
     tree = build_tree(
         instance,
@@ -151,13 +155,14 @@ def cmd_tree(args) -> int:
         rounding=args.rounding,
     )
     vertices = len(tree.size)
-    # member[i, v]: whether vertex v holds place i of the root order.
-    member = np.zeros((tree.order.shape[1], vertices), np.uint8)
-    member[tree.places, np.repeat(np.arange(vertices), tree.size)] = 1
+    # holders[i]: the vertices that hold place i of the root order.
+    by_place = np.repeat(np.arange(vertices), tree.size)[np.argsort(tree.places)]
+    holders = np.split(by_place, np.cumsum(np.bincount(tree.places))[:-1])
     cells = np.full((vertices, 2), ord(","), np.uint8)  # one row's text, ",0" or ",1" per vertex
     print(",".join(["room", *(f"vertex_{v}" for v in range(vertices))]))
-    for position, row in zip(tree.order[0].tolist(), member):  # rows in root (sorted) order
-        cells[:, 1] = row + ord("0")
+    for position, members in zip(tree.order[0].tolist(), holders):  # rows in root (sorted) order
+        cells[:, 1] = ord("0")
+        cells[members, 1] = ord("1")
         sys.stdout.write(f"{position}{cells.tobytes().decode()}\n")
     print(",".join(["demand", *map(str, tree.demand[0].tolist())]))
     if args.dot_out:
@@ -280,6 +285,11 @@ def _height_table(columns):
     return rows
 
 
+#: The two l1 norms of `l1_norms_<alg>.csv` and `l1_comparison.csv`, as (name,
+#: metrics summed over heights 1..h): all efficiencies, and the exact-solution one.
+_L1_NORMS = (("all", EFFICIENCY_METRICS), ("gbe_dps", ("GbE_DPS",)))
+
+
 def _critical_heights(results, aggregation="mean"):
     """Per-metric critical heights of a sweep, plus their mode.
 
@@ -297,18 +307,6 @@ def _critical_heights(results, aggregation="mean"):
         heights[name] = critical_height(columns, aggregation) + start
     mode = critical_height_mode(list(heights.values())) if heights else None
     return heights, mode
-
-
-def _norms(results, h_tilde):
-    """(all-metrics norm, exact-solution-only norm) per strategy value."""
-    out = {}
-    for v, result in results.items():
-        h = min(h_tilde, result.average.height)
-        out[v] = tuple(
-            l1_norm(efficiency_array(result.average, names, h))
-            for names in (EFFICIENCY_METRICS, ["GbE_DPS"])
-        )
-    return out
 
 
 def cmd_experiment(args) -> int:
@@ -340,16 +338,14 @@ def cmd_experiment(args) -> int:
             rows.append(["mode", mode if mode is not None else ""])
             _write_csv(out_dir / f"critical_heights_{algorithm}.csv", rows)
             if mode is not None:
-                norms = _norms(results, mode)
-                rows = [["value", "norm_all", "norm_gbe_dps"]]
-                rows += [
-                    [_value_label(v), format_2dec(a), format_2dec(d)]
-                    for v, (a, d) in norms.items()
-                ]
+                rows = [["value", *(f"norm_{norm}" for norm, _ in _L1_NORMS)]]
+                for v, result in results.items():
+                    arrays = (efficiency_array(result.average, names, mode) for _, names in _L1_NORMS)
+                    rows.append([_value_label(v), *(format_2dec(l1_norm(a)) for a in arrays)])
                 _write_csv(out_dir / f"l1_norms_{algorithm}.csv", rows)
             per_alg[algorithm] = (results, mode)
         for v, result in results.items():
-            strategy = _value_label(v) if sweep_var else "-"
+            strategy = _value_label(v)  # "-" when nothing is swept
             for name in ALL_METRICS:
                 start = metric_start_height(name)
                 for h, value in enumerate(result.average.metric(name), start=start):
@@ -360,15 +356,13 @@ def cmd_experiment(args) -> int:
         if all(m is not None for m in modes):
             h_tilde = min(modes)
             first, second = (per_alg[a][0] for a in algorithms)
-            norms_a = _norms(first, h_tilde)
-            norms_b = _norms(second, h_tilde)
-            # One (first, second, winner) triple per norm of `_norms`.
             labels = (*algorithms, "winner")
-            rows = [["value"] + [f"{label}_{norm}" for norm in ("all", "gbe_dps") for label in labels]]
+            rows = [["value", *(f"{label}_{norm}" for norm, _ in _L1_NORMS for label in labels)]]
             for v in first:
                 row = [_value_label(v)]
-                for norm_a, norm_b in zip(norms_a[v], norms_b[v]):
-                    cmp = l1_compare([norm_a], [norm_b], labels=algorithms)
+                for _, names in _L1_NORMS:
+                    arrays = (efficiency_array(side[v].average, names, h_tilde) for side in (first, second))
+                    cmp = l1_compare(*arrays, labels=algorithms)
                     row += [format_2dec(cmp.norm_a), format_2dec(cmp.norm_b), cmp.winner]
                 rows.append(row)
             _write_csv(out_dir / "l1_comparison.csv", rows)
@@ -400,17 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="solve one column of a rooms CSV")
-    p.add_argument("file", help="rooms CSV")
-    p.add_argument("--column", default="1", help="column label or 1-based index")
-    p.add_argument("--rate", type=int, default=54, help="students per proctor")
+    rooms = argparse.ArgumentParser(add_help=False)  # the rooms-CSV arguments of solve and tree
+    rooms.add_argument("file", help="rooms CSV")
+    rooms.add_argument("--column", default="1", help="column label or 1-based index")
+    rooms.add_argument("--rate", type=int, default=54, help="students per proctor")
+
+    p = sub.add_parser("solve", parents=[rooms], help="solve one column of a rooms CSV")
     p.add_argument("--solver", choices=("greedy", "dp", "lp", "all"), default="all")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("tree", help="print a decomposition tree's membership table")
-    p.add_argument("file", help="rooms CSV")
-    p.add_argument("--column", default="1")
-    p.add_argument("--rate", type=int, default=54)
+    p = sub.add_parser("tree", parents=[rooms], help="print a decomposition tree's membership table")
     p.add_argument("--tree", choices=TREE_ALGORITHMS, default=HEAD_LEFT)
     p.add_argument("--sort", type=_sort_key, choices=SORT_KEYS, default="specific_weight")
     p.add_argument("--sort-seed", type=int, default=0)

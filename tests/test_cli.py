@@ -1,6 +1,8 @@
 import csv
 import io
+import os
 import tempfile
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +31,8 @@ import dcknap.solvers
 from dcknap.cli import _critical_heights, main, parse_config
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS
 from dcknap.errors import ConfigError
+from dcknap.montecarlo import seeded_realization, write_rooms_csv
+from dcknap.rounding import format_2dec
 from dcknap.solvers import SORT_KEYS
 
 SMOKE_CONFIG = """\
@@ -57,6 +61,13 @@ def twin_labels(tmp_path):
     """A rooms CSV whose first two columns share the label x."""
     rooms = tmp_path / "twins.csv"
     rooms.write_text("room,x,x,y\n0,5,6,7\n1,5,6,7\nSUM,10,12,14\nDEMAND,3,4,5\n")
+    return rooms
+
+
+def index_labels(tmp_path):
+    """A rooms CSV whose second column is labelled 1, the first column's index."""
+    rooms = tmp_path / "index_labels.csv"
+    rooms.write_text("room,a,1\n0,5,6\n1,5,6\nSUM,10,12\nDEMAND,3,4\n")
     return rooms
 
 
@@ -279,6 +290,16 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(rooms), "--column", "2")
         assert code == 0 and "demand=4" in out
 
+    def test_label_that_is_another_columns_index_exits_2(self, tmp_path, capsys):
+        rooms = index_labels(tmp_path)
+        code, out, err = run(capsys, "solve", str(rooms), "--column", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: column label '1' names columns [1, 2] of ")
+        assert "Traceback" not in err
+        for column, first_line in (("2", "column=1 "), ("a", "column=a "), ("+1", "column=a ")):
+            code, out, _ = run(capsys, "solve", str(rooms), "--column", column)
+            assert code == 0 and out.startswith(first_line)
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         rooms = tmp_path / "rooms.csv"
         rooms.write_bytes(b"room,a\n0,\xff\nSUM,1\nDEMAND,1\n")
@@ -346,6 +367,31 @@ class TestTree:
         assert code == 2 and out == ""
         assert err.startswith("error: column label 'x' names columns [1, 2] of ")
         assert "Traceback" not in err
+
+    def test_label_that_is_another_columns_index_exits_2(self, tmp_path, capsys):
+        rooms = index_labels(tmp_path)
+        code, out, err = run(capsys, "tree", str(rooms), "--column", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: column label '1' names columns [1, 2] of ")
+        assert "Traceback" not in err
+        for column, demand in (("2", "4"), ("a", "3")):
+            code, out, _ = run(capsys, "tree", str(rooms), "--column", column, "--min-size", "2")
+            assert code == 0 and out.splitlines()[-1] == f"demand,{demand}"
+
+    def test_memory_is_not_rooms_by_vertices(self, tmp_path):
+        # 2,048 rooms at min_size 1 make 4,095 vertices: a rooms x vertices
+        # uint8 matrix alone would be 8.4 MB.
+        rooms = tmp_path / "rooms.csv"
+        with open(rooms, "w", newline="") as stream:
+            write_rooms_csv(stream, [seeded_realization("uniform", 2048, "0.9", 1, 0)])
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                assert main(["tree", str(rooms), "--min-size", "1"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_head_left_demand_row(self, rooms_csv, capsys):
         code, out, _ = run(
@@ -619,6 +665,83 @@ class TestExperiment:
         assert mode is not None
         with pytest.raises(InvalidParameterError, match="aggregation"):
             _critical_heights(results, "median")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from("ors"), st.integers(8, 40), st.integers(1, 3), st.integers(1, 6),
+        st.integers(0, 2**32), st.sampled_from(("mean", "max")),
+    )
+    def test_derived_files_match_a_reference(self, var, n, realizations, min_size, seed, aggregation):
+        """critical_heights_<alg>.csv, l1_norms_<alg>.csv and l1_comparison.csv
+        of a tree_alg=both sweep, recomputed from sweep() averages: mean or
+        max steps and the doubling rule, the mode with ties to the smaller
+        height, and plain Fraction sums of absolute cells over heights 1..h."""
+        config = (
+            f"n_rooms={n}\nrealizations={realizations}\nmin_size={min_size}\n"
+            f"master_seed={seed}\ntree_alg=both\nsweep={var}\naggregation={aggregation}\n"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "config.txt").write_text(config)
+            with redirect_stdout(io.StringIO()):
+                assert main(["experiment", f"{tmp}/config.txt", "--out-dir", f"{tmp}/out"]) == 0
+            files = {p.name: list(csv.reader(p.open())) for p in Path(tmp, "out").iterdir()}
+
+        def label(v):
+            return format_2dec(v) if isinstance(v, Fraction) else str(v)
+
+        def start(name):
+            return 1 if name.startswith("SwE") else 0
+
+        def norm(result, names, h):
+            cells = (result.average.metric(m)[k - start(m)] for m in names for k in range(1, h + 1))
+            return sum((abs(Fraction(c)) for c in cells), Fraction(0))
+
+        norms = (("all", EFFICIENCY_METRICS), ("gbe_dps", ("GbE_DPS",)))
+        results, modes = {}, {}
+        for alg in ("hlT", "blT"):
+            params = ExperimentParams(
+                n_rooms=n, realizations=realizations, min_size=min_size, master_seed=seed, tree_alg=alg
+            )
+            results[alg] = sweep(params, var)
+            shared = min(r.average.height for r in results[alg].values())
+            heights = {}
+            for name in EFFICIENCY_METRICS:
+                columns = [r.average.metric(name)[: shared - start(name) + 1] for r in results[alg].values()]
+                if len(columns[0]) < 3:
+                    continue
+                steps = [
+                    [Fraction(c[k]) - Fraction(c[k - 1]) for c in columns] for k in range(1, len(columns[0]))
+                ]
+                slopes = [sum(s) / len(s) if aggregation == "mean" else max(s) for s in steps]
+                doubled = [k for k in range(2, len(columns[0])) if slopes[k - 1] > 2 * slopes[k - 2]]
+                heights[name] = (doubled[0] if doubled else len(columns[0]) - 1) + start(name)
+            counts = [list(heights.values()).count(h) for h in heights.values()]
+            modes[alg] = min((h for h, c in zip(heights.values(), counts) if c == max(counts)), default=None)
+            mode = modes[alg]
+            assert files[f"critical_heights_{alg}.csv"] == [
+                ["metric", "critical_height"], *([m, str(h)] for m, h in heights.items()),
+                ["mode", "" if mode is None else str(mode)],
+            ]
+            if mode is None:
+                assert f"l1_norms_{alg}.csv" not in files
+                continue
+            assert files[f"l1_norms_{alg}.csv"] == [
+                ["value", "norm_all", "norm_gbe_dps"],
+                *([label(v), *(format_2dec(norm(r, names, mode)) for _, names in norms)]
+                  for v, r in results[alg].items()),
+            ]
+        if None in modes.values():
+            assert "l1_comparison.csv" not in files
+            return
+        h_tilde = min(modes.values())
+        rows = [["value", *(f"{a}_{name}" for name, _ in norms for a in ("hlT", "blT", "winner"))]]
+        for v in results["hlT"]:
+            row = [label(v)]
+            for _, names in norms:
+                a, b = (norm(results[alg][v], names, h_tilde) for alg in ("hlT", "blT"))
+                row += [format_2dec(a), format_2dec(b), "hlT" if a < b else "blT" if b < a else "tie"]
+            rows.append(row)
+        assert files["l1_comparison.csv"] == rows
 
     def test_bound_settled_vertices_allocate_nothing(self, tmp_path, capsys, monkeypatch):
         # One proctor per room: ceil(LRS) = GAS on every vertex, so no DP runs.
