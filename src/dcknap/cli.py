@@ -101,7 +101,8 @@ def _load_column(args) -> tuple[str, ProblemInstance]:
     matches = [k for k, column in enumerate(columns, 1) if column[0] == args.column or k == index]
     if len(matches) > 1:
         raise InvalidParameterError(
-            f"column label {args.column!r} names columns {matches} of {args.file}; give an index"
+            f"column label {args.column!r} names columns {matches} of {args.file}; "
+            "--column +N names only the column at 1-based index N"
         )
     if not matches:
         raise InvalidParameterError(

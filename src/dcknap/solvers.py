@@ -11,10 +11,10 @@
 Specific weights are compared by an exact rank, `model.weight_ranks`:
 ranked once per block of trees (or once per instance, cached as
 `ProblemInstance.weight_ranks`) and read by both the `specific_weight` sort
-and the greedy order.  LRS and GAS come from one cumulative-sum scan in
-that order.  `_repaired_bound` turns GAS into UB, the cheaper of GAS and its
-one-room repairs (swap the break room, drop a spare room); UB is internal,
-bounds the cost axis of every DP, and LRS <= DPS <= UB <= GAS.
+and the greedy order.  One pass in that order, `_bounds`, gives LRS, GAS
+and UB, the cheapest of GAS and its one-room repairs (swap the break room,
+drop a spare room); UB is internal, bounds the cost axis of every DP, and
+LRS <= DPS <= UB <= GAS.
 `solve_block`, the tree kernel, takes a block of same-shape trees (at most
 `BLOCK_ROOMS` flat rooms), gathers every vertex from its run of the shape's
 `places` in its tree's root order, lays them all end to end in one flat
@@ -24,9 +24,10 @@ numerator and denominator), DPS and GAS as int64 arrays: one `cumsum` and one
 one value-only DP per block, `_dp_values`, runs only where ceil(LRS) < UB:
 vertices of one axis and width class roll their rows as one matrix, one
 max-plus step per distinct room weight per batch, the largest group of
-each batch a gather.  `solve_triple`, `lp_relax_solve` and `dp_solve` run
-the same scan on one instance.  One rule, `_dp_axis`, picks the DP axis and
-refuses an oversized DP, for `dp_solve`'s one vertex or a block's many.
+each batch a gather.  `solve_triple` is `solve_block` on a block of one
+tree of one vertex; `lp_relax_solve` and `dp_solve` run `_bounds` on one
+instance.  One rule, `_dp_axis`, picks the DP axis and refuses an oversized
+DP, for `dp_solve`'s one vertex or a block's many.
 """
 
 from __future__ import annotations
@@ -126,38 +127,22 @@ def _greedy(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return positions, capacities[positions], proctors[positions]
 
 
-def _scan(caps: np.ndarray, prices: np.ndarray, starts, demands):
-    """Greedy scan of consecutive vertices, as int64 arrays (end, num, den,
-    GAS, covered, cost).
+def _bounds(caps: np.ndarray, prices: np.ndarray, offsets, demands):
+    """Greedy scan and repaired bound of consecutive vertices, as int64 arrays
+    (end, num, den, UB, GAS, covered, cost).
 
-    Vertex v's rooms start at starts[v] in `caps` and `prices` and run to the
-    next vertex, in greedy order; its demand, demands[v], is at most their
-    capacity.  Rooms starts[v]..end[v]-1 are taken: all but the last, the
-    break room b, are whole and cover less than the demand.  GAS is their
-    cost and LRS = num / den replaces room b's cost by its used share, so
-    den is b's capacity (1 when the demand is 0 and nothing is taken).
-    covered and cost are the cumsums of all capacities and prices from 0;
-    covered is strictly increasing (each capacity is at least 1), so one
-    searchsorted finds every break room.  Every product stays below 2^62,
-    because `ProblemInstance` caps both totals at 2^31 - 1.
-    """
-    covered = np.concatenate(([0], np.cumsum(caps)))
-    cost = np.concatenate(([0], np.cumsum(prices)))
-    base = covered[starts]
-    target = base + demands
-    end = np.searchsorted(covered, target)
-    gas = cost[end] - cost[starts]
-    den = np.where(target > base, caps[end - 1], 1)
-    # Room b leaves covered[end] - target of its capacity unused.
-    num = gas * den - prices[end - 1] * (covered[end] - target)
-    return end, num, den, gas, covered, cost
+    Vertex v owns rooms offsets[v]..offsets[v+1]-1 of `caps` and `prices`, in
+    greedy order; its demand, demands[v], is at most their capacity.  Its
+    rooms up to end[v]-1 are taken: all but the last, the break room b, are
+    whole and cover less than the demand.  GAS is their cost and LRS = num /
+    den replaces b's cost by its used share, so den is b's capacity (1 when
+    the demand is 0 and nothing is taken).  covered and cost are the cumsums
+    of all capacities and prices from 0; covered is strictly increasing (each
+    capacity is at least 1), so one searchsorted finds every break room.
+    Every product stays below 2^62, because `ProblemInstance` caps both
+    totals at 2^31 - 1.
 
-
-def _repaired_bound(caps: np.ndarray, prices: np.ndarray, covered, offsets, demands, end, gas) -> np.ndarray:
-    """UB, an int64 array: the cheapest of three covers of each vertex of
-    `_scan` (rooms offsets[v]..offsets[v+1]-1, greedy cover ending at end[v]).
-
-    With b = end - 1 the break room and r the demand left for it:
+    UB is the cheapest of three covers, with r the demand left for b:
 
     * the greedy cover itself, GAS;
     * swap: the rooms before b, plus the cheapest room j >= b of the vertex
@@ -171,16 +156,24 @@ def _repaired_bound(caps: np.ndarray, prices: np.ndarray, covered, offsets, dema
     """
     offsets, demands = np.asarray(offsets), np.asarray(demands)
     starts, sizes = offsets[:-1], np.diff(offsets)
-    target = covered[starts] + demands
+    covered = np.concatenate(([0], np.cumsum(caps)))
+    cost = np.concatenate(([0], np.cumsum(prices)))
+    base = covered[starts]
+    target = base + demands
+    end = np.searchsorted(covered, target)
     b = end - 1
+    gas = cost[end] - cost[starts]
+    den = np.where(target > base, caps[b], 1)
+    excess = covered[end] - target  # of b's capacity, unused
+    num = gas * den - prices[b] * excess
     # Per room: r and the excess of its vertex, and whether it is b or after it.
-    need, excess = np.repeat(target - covered[b], sizes), np.repeat(covered[end] - target, sizes)
+    need, spare_cap = np.repeat(target - covered[b], sizes), np.repeat(excess, sizes)
     after_b = np.arange(len(caps)) >= np.repeat(b, sizes)
     # Padding by the dearest room leaves each minimum at most p_b.
     cheapest = np.minimum.reduceat(np.where(after_b & (caps >= need), prices, prices.max()), starts)
-    spare = np.maximum.reduceat(np.where(~after_b & (caps <= excess), prices, 0), starts)
-    ub = gas - np.maximum(prices[b] - cheapest, spare)
-    return np.where(demands > 0, ub, 0)
+    spare = np.maximum.reduceat(np.where(~after_b & (caps <= spare_cap), prices, 0), starts)
+    ub = np.where(demands > 0, gas - np.maximum(prices[b] - cheapest, spare), 0)
+    return end, num, den, ub, gas, covered, cost
 
 
 def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
@@ -191,13 +184,10 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     """
     instance.require_feasible()
     order, caps, prices = _greedy(instance)
-    end, num, den, _, _, _ = _scan(caps, prices, [0], [instance.demand])
-    end = int(end[0])
-    partial = int(caps[:end].sum()) > instance.demand
-    order = order[:end].tolist()
-    return LPRelaxation(
-        Fraction(int(num[0]), int(den[0])), order[-1] if partial else None, tuple(order)
-    )
+    end, num, den, _, _, covered, _ = _bounds(caps, prices, [0, len(caps)], [instance.demand])
+    support = tuple(order[: end[0]].tolist())
+    fractional = support[-1] if covered[end[0]] > instance.demand else None
+    return LPRelaxation(Fraction(int(num[0]), int(den[0])), fractional, support)
 
 
 def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
@@ -209,7 +199,7 @@ def greedy_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
 
 def _dp_axis(n, total_capacity, demand, ub):
     """(indexed by cost, last column) of the exact DP's smaller axis, cost
-    0..UB (`_repaired_bound`) or budget 0..total capacity - demand, of one
+    0..UB (`_bounds`) or budget 0..total capacity - demand, of one
     vertex (ints) or of one vertex per entry (equal-length int64 arrays).
 
     Raises SizeLimitError for the first vertex whose n + 1 row table would
@@ -249,7 +239,7 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     """Exact minimum-cost cover by dynamic programming on the smaller axis,
     as (ascending room positions, proctor cost); () when the demand is 0.
 
-    The repaired greedy cost UB (`_repaired_bound`) bounds the optimum from
+    The repaired greedy cost UB (`_bounds`) bounds the optimum from
     above, and the table is indexed by whichever axis has fewer columns:
 
     * cost, 0..UB: the largest capacity rooms i.. cover for at most c
@@ -269,8 +259,7 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     if demand == 0:
         return (), 0
     _, greedy_caps, greedy_prices = _greedy(instance)
-    end, _, _, gas, covered, _ = _scan(greedy_caps, greedy_prices, [0], [demand])
-    ub = int(_repaired_bound(greedy_caps, greedy_prices, covered, [0, n], [demand], end, gas)[0])
+    ub = int(_bounds(greedy_caps, greedy_prices, [0, n], [demand])[3][0])
     by_cost, width = _dp_axis(n, instance.total_capacity, demand, ub)
 
     # Walking forward and leaving a room out whenever that stays optimal
@@ -299,10 +288,10 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
 
 def _dp_values(caps: np.ndarray, prices: np.ndarray, covered, cost, offsets, demands, ub, vertices) -> np.ndarray:
     """The optimum cost dp_solve finds, on the same axis, of each vertex in
-    `vertices` (indices into the consecutive vertices of `_solve_flat`), from
+    `vertices` (indices into the consecutive vertices of `solve_block`), from
     rolling rows instead of tables (no cover is recovered); covered and cost
-    are `_scan`'s prefix sums, and ub[v] is vertex v's `_repaired_bound`, the
-    end of its cost axis.
+    are `_bounds`' prefix sums, and ub[v] is vertex v's UB, the end of its
+    cost axis.
 
     Rooms of equal weight w differ only in value, so any j of them weigh
     j * w and the best j are the j most valuable: a group of them is one
@@ -405,38 +394,14 @@ def _dp_values(caps: np.ndarray, prices: np.ndarray, covered, cost, offsets, dem
     return out
 
 
-def _solve_flat(caps: np.ndarray, prices: np.ndarray, offsets, demands):
-    """(num, den, DPS, GAS) int64 arrays of consecutive vertices, LRS being
-    num / den: vertex v owns rooms offsets[v]..offsets[v+1]-1 of `caps` and
-    `prices`, in greedy order, and demands[v].
-
-    Raises AssertionError where LRS <= DPS <= UB <= GAS fails, UB being
-    `_repaired_bound`.
-    """
-    end, num, den, gas, covered, cost = _scan(caps, prices, offsets[:-1], demands)
-    ub = _repaired_bound(caps, prices, covered, offsets, demands, end, gas)
-    dps = ub.copy()
-    # DPS is an integer in [LRS, UB]: the DP is needed only where
-    # ceil(LRS) < UB, that is where num <= (UB - 1) * den.
-    unsettled = np.flatnonzero(num <= (ub - 1) * den)
-    if len(unsettled):
-        dps[unsettled] = _dp_values(caps, prices, covered, cost, offsets, demands, ub, unsettled)
-    broken = (num > dps * den) | (dps > ub) | (ub > gas)
-    if broken.any():
-        v = int(np.argmax(broken))
-        raise AssertionError(
-            f"bound sandwich violated: {Fraction(int(num[v]), int(den[v]))} <= {dps[v]}"
-            f" <= UB {ub[v]} <= GAS {gas[v]}"
-        )
-    return num, den, dps, gas
-
-
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:
-    """LRS, DPS and GAS of one instance: the tree kernel on one vertex."""
+    """LRS, DPS and GAS of one instance: the tree kernel on a block of one
+    tree of one vertex, whose identity order ranks ties by position."""
     instance.require_feasible()
-    _, caps, prices = _greedy(instance)
-    num, den, dps, gas = _solve_flat(caps, prices, [0, len(caps)], [instance.demand])
-    return SolutionTriple(Fraction(int(num[0]), int(den[0])), int(dps[0]), int(gas[0]))
+    n = instance.n_rooms
+    block = solve_block(*instance.arrays, np.arange(n)[None], np.arange(n), [n], np.array([[instance.demand]]))
+    num, den, dps, gas = (int(column[0, 0]) for column in block)
+    return SolutionTriple(Fraction(num, den), dps, gas)
 
 
 def solve_block(capacities, proctors, ranks, order, places, size, demand):
@@ -455,7 +420,9 @@ def solve_block(capacities, proctors, ranks, order, places, size, demand):
     row whose ranks already ascend (the specific-weight sort) is its own
     ranking.  One sort of the keys vertex * rooms + greedy place per row
     keeps a tree's vertices end to end, and the trees follow each other,
-    for one scan.
+    for one pass of `_bounds`.
+
+    Raises AssertionError where LRS <= DPS <= UB <= GAS fails.
     """
     trees, n = order.shape
     row = np.arange(0, trees * n, n)[:, None]  # each row's first cell, raveled
@@ -472,5 +439,19 @@ def solve_block(capacities, proctors, ranks, order, places, size, demand):
     caps, prices = capacities.ravel()[rooms], proctors.ravel()[rooms]
     del places, rooms  # free before the DP
     offsets = np.append(0, np.cumsum(np.tile(size, trees)))
-    columns = _solve_flat(caps, prices, offsets, demand.ravel())
-    return tuple(column.reshape(trees, -1) for column in columns)
+    demands = demand.ravel()
+    _, num, den, ub, gas, covered, cost = _bounds(caps, prices, offsets, demands)
+    dps = ub.copy()
+    # DPS is an integer in [LRS, UB]: the DP is needed only where
+    # ceil(LRS) < UB, that is where num <= (UB - 1) * den.
+    unsettled = np.flatnonzero(num <= (ub - 1) * den)
+    if len(unsettled):
+        dps[unsettled] = _dp_values(caps, prices, covered, cost, offsets, demands, ub, unsettled)
+    broken = (num > dps * den) | (dps > ub) | (ub > gas)
+    if broken.any():
+        v = int(np.argmax(broken))
+        raise AssertionError(
+            f"bound sandwich violated: {Fraction(int(num[v]), int(den[v]))} <= {dps[v]}"
+            f" <= UB {ub[v]} <= GAS {gas[v]}"
+        )
+    return tuple(column.reshape(trees, -1) for column in (num, den, dps, gas))

@@ -295,6 +295,7 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(rooms), "--column", "1")
         assert code == 2 and out == ""
         assert err.startswith("error: column label '1' names columns [1, 2] of ")
+        assert "--column +N names only the column at 1-based index N" in err
         assert "Traceback" not in err
         for column, first_line in (("2", "column=1 "), ("a", "column=a "), ("+1", "column=a ")):
             code, out, _ = run(capsys, "solve", str(rooms), "--column", column)
@@ -373,8 +374,9 @@ class TestTree:
         code, out, err = run(capsys, "tree", str(rooms), "--column", "1")
         assert code == 2 and out == ""
         assert err.startswith("error: column label '1' names columns [1, 2] of ")
+        assert "--column +N names only the column at 1-based index N" in err
         assert "Traceback" not in err
-        for column, demand in (("2", "4"), ("a", "3")):
+        for column, demand in (("2", "4"), ("a", "3"), ("+1", "3")):
             code, out, _ = run(capsys, "tree", str(rooms), "--column", column, "--min-size", "2")
             assert code == 0 and out.splitlines()[-1] == f"demand,{demand}"
 

@@ -166,17 +166,17 @@ def reference_cover(inst):
 def kernel_bounds(tree):
     """UB of every vertex, as the kernel computes it."""
     found = []
-    repaired = solvers._repaired_bound
+    bounds = solvers._bounds
 
     def spy(*args):
-        found.append(repaired(*args))
+        found.append(bounds(*args))
         return found[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_repaired_bound", spy)
+        mp.setattr(solvers, "_bounds", spy)
         solve_tree_vertices(tree)
-    (ub,) = found
-    return ub.tolist()
+    (columns,) = found
+    return columns[3].tolist()
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -191,11 +191,11 @@ def test_repaired_bound_is_a_cover_between_dps_and_gas(tree):
 
 
 def _above_gas(caps, prices, covered, cost, offsets, demands, ub, vertices):
-    return solvers._scan(caps, prices, offsets[:-1], demands)[3][vertices] + 1
+    return solvers._bounds(caps, prices, offsets, demands)[4][vertices] + 1
 
 
 def _below_lrs(caps, prices, covered, cost, offsets, demands, ub, vertices):
-    _, num, den, _, _, _ = solvers._scan(caps, prices, offsets[:-1], demands)
+    _, num, den, _, _, _, _ = solvers._bounds(caps, prices, offsets, demands)
     return -(-num[vertices] // den[vertices]) - 1  # ceil(LRS) - 1
 
 
@@ -209,7 +209,7 @@ def test_sandwich_check_fires(wrong_dp, monkeypatch):
 
 
 def _above_ub(caps, prices, covered, cost, offsets, demands, ub, vertices):
-    gas = solvers._scan(caps, prices, offsets[:-1], demands)[3][vertices]
+    gas = solvers._bounds(caps, prices, offsets, demands)[4][vertices]
     return np.minimum(ub[vertices] + 1, gas)
 
 
@@ -222,7 +222,13 @@ def test_sandwich_check_holds_ub_between_dps_and_gas(monkeypatch):
         mp.setattr(solvers, "_dp_values", _above_ub)
         with pytest.raises(AssertionError, match=r"bound sandwich violated: .+ <= UB \d+ <= GAS"):
             solve_tree(tree)
-    monkeypatch.setattr(solvers, "_repaired_bound", lambda *args: args[-1] + 1)  # GAS + 1
+    bounds = solvers._bounds
+
+    def ub_above_gas(*args):
+        end, num, den, _, gas, covered, cost = bounds(*args)
+        return end, num, den, gas + 1, gas, covered, cost
+
+    monkeypatch.setattr(solvers, "_bounds", ub_above_gas)
     with pytest.raises(AssertionError, match="bound sandwich violated"):
         solve_tree(tree)
 
@@ -277,17 +283,15 @@ def test_specific_weight_tree_ranks_once(algorithm, monkeypatch):
 
 
 def repaired_bound(inst):
-    """solvers._repaired_bound of the instance as one vertex."""
+    """UB of the instance as one vertex, from solvers._bounds."""
     _, caps, prices = solvers._greedy(inst)
-    end, _, _, gas, covered, _ = solvers._scan(caps, prices, [0], [inst.demand])
-    return int(solvers._repaired_bound(caps, prices, covered, [0, inst.n_rooms], [inst.demand], end, gas)[0])
+    return int(solvers._bounds(caps, prices, [0, inst.n_rooms], [inst.demand])[3][0])
 
 
 def _dp_values_of(inst):
     """solvers._dp_values on the instance as one vertex: its greedy arrays and UB."""
     _, caps, prices = solvers._greedy(inst)
-    _, _, _, _, covered, cost = solvers._scan(caps, prices, [0], [inst.demand])
-    ub = np.array([repaired_bound(inst)])
+    _, _, _, ub, _, covered, cost = solvers._bounds(caps, prices, [0, inst.n_rooms], [inst.demand])
     return int(solvers._dp_values(caps, prices, covered, cost, [0, inst.n_rooms], [inst.demand], ub, np.array([0]))[0])
 
 
@@ -334,7 +338,7 @@ def test_grouped_dp_temporary_is_capped():
     realization = seeded_realization("uniform", 3000, Fraction(1, 2), 2024, 0)
     inst = ProblemInstance(realization.capacities, (1,) * 3000, sum(realization.capacities) // 2)
     _, caps, prices = solvers._greedy(inst)
-    _, _, _, gas, covered, cost = solvers._scan(caps, prices, [0], [inst.demand])
+    _, _, _, _, gas, covered, cost = solvers._bounds(caps, prices, [0, 3000], [inst.demand])
     assert solvers._dp_axis(3000, inst.total_capacity, inst.demand, int(gas[0])) == (True, 1138)
     tracemalloc.start()
     try:
@@ -384,6 +388,23 @@ def test_dp_axis_on_arrays_is_the_scalar_rule(vertices):
     else:
         by_cost, width = solvers._dp_axis(*columns)
         assert list(zip(by_cost.tolist(), width.tolist())) == outcomes
+
+
+def test_dp_axis_at_exactly_dp_max_cells():
+    # (n, total capacity, demand, UB): 16,384 rows x 16,384 columns on the
+    # cost axis is exactly 2^28 cells; one column more is refused.
+    fits, over = (16383, 1 << 20, 0, 16383), (16383, 1 << 20, 0, 16384)
+    assert solvers._dp_axis(*fits) == (True, 16383)
+    by_cost, width = solvers._dp_axis(*(np.array([x]) for x in fits))
+    assert by_cost.tolist() == [True] and width.tolist() == [16383]
+    message = (
+        "exact DP table of 16384 rows x 16385 columns exceeds 268435456 cells "
+        "(cost axis 16385, budget axis 1048577 columns)"
+    )
+    for vertex in (over, [np.array([x]) for x in over]):
+        with pytest.raises(SizeLimitError) as raised:
+            solvers._dp_axis(*vertex)
+        assert str(raised.value) == message
 
 
 def batched_dps(tree, cells=None):

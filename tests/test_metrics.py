@@ -332,6 +332,15 @@ class TestEfficiencyArray:
         assert block[0] == [series.gbe_dps[1], series.gbe_dps[2]]
         assert block[1] == [series.swe_dps[0], series.swe_dps[1]]
 
+    def test_one_height(self, r1_instance):
+        # At h_tilde = 1 each row is one cell: height 1, which a stepwise
+        # metric keeps at index 0 and every other metric at index 1.
+        series = solve_tree(build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "ceil"))
+        block = efficiency_array(series, ALL_METRICS, 1)
+        assert block == [
+            [series.metric(name)[0 if name.startswith("SwE") else 1]] for name in ALL_METRICS
+        ]
+
     def test_h_range_validated(self, r1_instance):
         tree = build_tree(r1_instance, "hlT", GAMMA, Fraction(1, 2), 2, "ceil")
         series = solve_tree(tree)

@@ -179,6 +179,9 @@ class TestDPProperties:
         triple = solve_triple(inst)
         assert triple.lrs <= triple.dps <= triple.gas
         assert triple.dps == brute_force_solve(inst)[1]
+        # GAS depends on how rooms of equal specific weight are ordered.
+        assert triple.lrs == lp_relax_solve(inst).value
+        assert triple.gas == greedy_solve(inst)[1]
 
 
 class TestLPRelaxation:
