@@ -308,7 +308,6 @@ def build_tree(
     once it has at most `min_size` rooms or a child would come out empty.
     """
     params = TreeParams(algorithm, sort, fraction, min_size, rounding)
-    instance.require_feasible()
     return build_block(*instance.arrays, np.array([instance.demand], np.int64), params, [sort.seed])
 
 

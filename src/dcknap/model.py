@@ -7,6 +7,9 @@ meets the demand:
 
     minimize    sum(proctors[i] * x[i])
     subject to  sum(capacities[i] * x[i]) >= demand,   x[i] in {0, 1}
+
+An instance is valid and feasible by construction: one rule, `_require`,
+checks one instance or a whole block, so no solver checks feasibility again.
 """
 
 from __future__ import annotations
@@ -25,11 +28,13 @@ MAX_TOTAL_CAPACITY = 2**31 - 1
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One covering-knapsack instance; room i is position i of both tuples."""
+    """One covering-knapsack instance; room i is position i of both tuples.
+    Feasible by construction: a demand above the total capacity raises
+    InfeasibleError, after the conditions of `_CONDITIONS`."""
 
     capacities: tuple[int, ...]  # students per room, all >= 1
     proctors: tuple[int, ...]  # cost per room, all >= 1
-    demand: int  # students to place, >= 0
+    demand: int  # students to place, 0..total capacity
 
     def __post_init__(self):
         object.__setattr__(self, "capacities", tuple(map(int, self.capacities)))
@@ -41,12 +46,10 @@ class ProblemInstance:
         if len(self.proctors) != n:
             raise InvalidParameterError("capacities and proctors must have equal length")
         # Python-int sums: exact for any value, where an int64 sum could wrap.
-        broken = _broken(
+        _require(
             min(self.capacities), min(self.proctors), self.demand,
             self.total_capacity, self.total_proctors,
         )
-        if broken.any():
-            raise InvalidParameterError(_CONDITIONS[broken.argmax()])
 
     @property
     def n_rooms(self) -> int:
@@ -77,13 +80,6 @@ class ProblemInstance:
             array.flags.writeable = False
         return (*arrays, self.weight_ranks[None])
 
-    def is_feasible(self) -> bool:
-        return self.total_capacity >= self.demand
-
-    def require_feasible(self):
-        if not self.is_feasible():
-            raise InfeasibleError(self.demand, self.total_capacity)
-
 
 _CONDITIONS = (
     "all capacities must be >= 1",
@@ -94,35 +90,36 @@ _CONDITIONS = (
 )
 
 
-def _broken(min_capacity, min_proctors, demand, total_capacity, total_proctors) -> np.ndarray:
-    """Whether each instance breaks each of `_CONDITIONS`, a (conditions x
-    instances) bool array.  Each argument holds that value of every
-    instance: one int, or an int64 array over a block."""
-    return np.array([
+def _require(min_capacity, min_proctors, demand, total_capacity, total_proctors) -> None:
+    """Raise for the first instance that breaks the validity rule: the first
+    of `_CONDITIONS` it breaks as InvalidParameterError, else a demand above
+    its total capacity as InfeasibleError.  Each argument holds that value
+    of every instance: one int, or an int64 array over a block."""
+    broken = np.array([
         np.less(min_capacity, 1),
         np.less(min_proctors, 1),
         np.less(demand, 0),
         np.greater(total_capacity, MAX_TOTAL_CAPACITY),
         np.greater(total_proctors, MAX_TOTAL_CAPACITY),
-    ]).reshape(len(_CONDITIONS), -1)
-
-
-def require_instances(capacities: np.ndarray, proctors: np.ndarray, demands: np.ndarray) -> None:
-    """Raise what ProblemInstance(capacities[t], proctors[t], demands[t]) and
-    its `require_feasible` raise for the first row t that fails, checking
-    each condition once over a block: (instances x rooms) int64 arrays
-    whose row sums stay below 2^63, and one demand per row."""
-    totals = capacities.sum(axis=1)
-    broken = np.vstack((
-        _broken(capacities.min(axis=1), proctors.min(axis=1), demands, totals, proctors.sum(axis=1)),
-        demands > totals,
-    ))
+        np.greater(demand, total_capacity),
+    ]).reshape(len(_CONDITIONS) + 1, -1)
     if broken.any():
         t = int(broken.any(axis=0).argmax())
         condition = int(broken[:, t].argmax())
-        if condition == len(_CONDITIONS):
-            raise InfeasibleError(int(demands[t]), int(totals[t]))
-        raise InvalidParameterError(_CONDITIONS[condition])
+        if condition < len(_CONDITIONS):
+            raise InvalidParameterError(_CONDITIONS[condition])
+        raise InfeasibleError(int(np.ravel(demand)[t]), int(np.ravel(total_capacity)[t]))
+
+
+def require_instances(capacities: np.ndarray, proctors: np.ndarray, demands: np.ndarray) -> None:
+    """Raise what ProblemInstance(capacities[t], proctors[t], demands[t])
+    raises for the first row t that fails, checking each condition once over
+    a block: (instances x rooms) int64 arrays whose row sums stay below
+    2^63, and one demand per row."""
+    _require(
+        capacities.min(axis=1), proctors.min(axis=1), demands,
+        capacities.sum(axis=1), proctors.sum(axis=1),
+    )
 
 
 def weight_ranks(capacities, proctors) -> np.ndarray:

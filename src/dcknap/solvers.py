@@ -182,7 +182,6 @@ def lp_relax_solve(instance: ProblemInstance) -> LPRelaxation:
     Rooms are filled in greedy order; at most the last touched room is
     fractional, contributing proctors * residual / capacity.
     """
-    instance.require_feasible()
     order, caps, prices = _greedy(instance)
     end, num, den, _, _, covered, _ = _bounds(caps, prices, [0, len(caps)], [instance.demand])
     support = tuple(order[: end[0]].tolist())
@@ -251,7 +250,6 @@ def dp_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
     room order) is returned.  A table of more than `DP_MAX_CELLS` cells
     raises SizeLimitError before anything is allocated.
     """
-    instance.require_feasible()
     n = instance.n_rooms
     caps = instance.capacities
     prices = instance.proctors
@@ -397,7 +395,6 @@ def _dp_values(caps: np.ndarray, prices: np.ndarray, covered, cost, offsets, dem
 def solve_triple(instance: ProblemInstance) -> SolutionTriple:
     """LRS, DPS and GAS of one instance: the tree kernel on a block of one
     tree of one vertex, whose identity order ranks ties by position."""
-    instance.require_feasible()
     n = instance.n_rooms
     block = solve_block(*instance.arrays, np.arange(n)[None], np.arange(n), [n], np.array([[instance.demand]]))
     num, den, dps, gas = (int(column[0, 0]) for column in block)

@@ -90,7 +90,6 @@ def brute_force_solve(instance: ProblemInstance) -> tuple[tuple[int, ...], int]:
         raise SizeLimitError(
             f"brute force supports at most {_BRUTE_FORCE_MAX_ROOMS} rooms, got {n}"
         )
-    instance.require_feasible()
     caps = np.array(instance.capacities, dtype=np.int64)
     prices = np.array(instance.proctors, dtype=np.int64)
     bit_positions = np.arange(n)

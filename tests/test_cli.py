@@ -64,6 +64,16 @@ def twin_labels(tmp_path):
     return rooms
 
 
+def infeasible_first_column(rooms_csv, tmp_path):
+    """A copy of the rooms CSV whose first column's demand exceeds its capacity."""
+    rows = list(csv.reader(rooms_csv.open()))
+    rows[-1][1] = "100000"
+    edited = tmp_path / "edited.csv"
+    with edited.open("w", newline="") as stream:
+        csv.writer(stream, lineterminator="\n").writerows(rows)
+    return edited
+
+
 def index_labels(tmp_path):
     """A rooms CSV whose second column is labelled 1, the first column's index."""
     rooms = tmp_path / "index_labels.csv"
@@ -74,12 +84,13 @@ def index_labels(tmp_path):
 class TestGenerate:
     def test_shape(self, tmp_path, capsys):
         out = tmp_path / "rooms.csv"
-        code, _, _ = run(
+        code, stdout, _ = run(
             capsys,
             "generate", "--n", "8", "--dist", "uniform", "--occupancy", "0.9",
             "--count", "5", "--seed", "0", "--out", str(out),
         )
         assert code == 0
+        assert stdout == f"wrote 5 realizations of 8 rooms to {out}\n"
         rows = list(csv.reader(out.open()))
         assert rows[0] == ["room"] + [f"realization_{k}" for k in range(1, 6)]
         assert len(rows) == 1 + 8 + 2
@@ -226,14 +237,10 @@ class TestSolve:
         assert lines["DPS"] == lines["GAS"]
 
     def test_infeasible_demand_exits_1(self, rooms_csv, tmp_path, capsys):
-        rows = list(csv.reader(rooms_csv.open()))
-        rows[-1][1] = "100000"  # demand beyond the total capacity
-        edited = tmp_path / "edited.csv"
-        with edited.open("w", newline="") as stream:
-            csv.writer(stream, lineterminator="\n").writerows(rows)
-        code, _, err = run(capsys, "solve", str(edited), "--column", "1")
-        assert code == 1
-        assert "exceeds total capacity" in err
+        edited = infeasible_first_column(rooms_csv, tmp_path)
+        code, out, err = run(capsys, "solve", str(edited), "--column", "1")
+        assert code == 1 and out == ""
+        assert err == "error: demand 100000 exceeds total capacity 704 by 99296\n"
 
     def test_oversized_dp_exits_2(self, tmp_path, capsys, monkeypatch):
         rooms = tmp_path / "huge.csv"
@@ -354,14 +361,22 @@ class TestTree:
 
     def test_readme_output_verbatim(self, rooms_csv, tmp_path, capsys):
         dot = tmp_path / "tree.dot"
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "tree", str(rooms_csv), "--column", "1", "--rate", "54",
             "--tree", "hlT", "--sort", "specific-weight", "--fraction", "0.5",
             "--min-size", "2", "--rounding", "ceil", "--dot-out", str(dot),
         )
         assert code == 0
         assert out == README_TREE
+        assert err == f"wrote DOT to {dot}\n"
         assert dot.read_text() == README_DOT
+
+    def test_infeasible_demand_exits_1(self, rooms_csv, tmp_path, capsys):
+        edited, dot = infeasible_first_column(rooms_csv, tmp_path), tmp_path / "tree.dot"
+        code, out, err = run(capsys, "tree", str(edited), "--dot-out", str(dot))
+        assert code == 1 and out == ""
+        assert err == "error: demand 100000 exceeds total capacity 704 by 99296\n"
+        assert not dot.exists()
 
     def test_ambiguous_label_exits_2(self, tmp_path, capsys):
         code, out, err = run(capsys, "tree", str(twin_labels(tmp_path)), "--column", "x")
@@ -487,7 +502,12 @@ class TestParseConfig:
         assert config.sweep == "r"
 
     def test_comments_and_blanks_ignored(self):
-        assert parse_config("# a comment\n\nn_rooms=8\n").params.n_rooms == 8
+        text = "# a comment\n\n  # an indented comment\n \t \nn_rooms=8\n"
+        assert parse_config(text).params.n_rooms == 8
+
+    def test_line_without_equals_sign_rejected(self):
+        with pytest.raises(ConfigError, match="^line 1: expected key=value, got 'n_rooms 8'$"):
+            parse_config("n_rooms 8\n")
 
     def test_bad_sweep_variable(self):
         with pytest.raises(ConfigError):
@@ -520,6 +540,7 @@ class TestExperiment:
             capsys, "experiment", str(config), "--out-dir", str(out_dir)
         )
         assert code == 0
+        assert out == f"experiment outputs written to {out_dir}\n"
         assert (out_dir / "average_hlT.csv").exists()
         assert (out_dir / "plot_data.csv").exists()
         rows = list(csv.reader((out_dir / "average_hlT.csv").open()))

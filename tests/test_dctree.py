@@ -64,14 +64,17 @@ class TestSplitDemand:
         assert split_demand(633, 312, 704, "ceil") == (281, 352)
 
     def test_degenerate_partition_rejected(self):
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(InvalidPartitionError, match="^degenerate partition: left capacity 0 of total 100$"):
             split_demand(10, 0, 100, "ceil")
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(InvalidPartitionError, match="^degenerate partition: left capacity 100 of total 100$"):
             split_demand(10, 100, 100, "ceil")
 
     def test_demand_above_capacity_rejected(self):
-        with pytest.raises(InvalidPartitionError):
+        with pytest.raises(InvalidPartitionError, match="^demand 101 exceeds the partitioned capacity 100$"):
             split_demand(101, 40, 100, "ceil")
+        # A degenerate split is named as such even when its demand is too large.
+        with pytest.raises(InvalidPartitionError, match="^degenerate partition: left capacity 0 of total 100$"):
+            split_demand(101, 0, 100, "ceil")
 
     def test_unknown_rounding(self):
         with pytest.raises(InvalidParameterError):

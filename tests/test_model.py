@@ -163,7 +163,7 @@ class TestValidation:
         expected = None
         for c, p, d in zip(caps, proctors, demands):
             try:
-                ProblemInstance(c, p, d).require_feasible()
+                ProblemInstance(c, p, d)
             except (InvalidParameterError, InfeasibleError) as exc:
                 expected = (type(exc), str(exc))
                 break
@@ -179,9 +179,16 @@ class TestValidation:
         with pytest.raises(InfeasibleError) as raised:
             require_instances(caps, proctors, np.array([11, 12]))
         with pytest.raises(InfeasibleError) as expected:
-            ProblemInstance((5, 6), (1, 1), 12).require_feasible()
+            ProblemInstance((5, 6), (1, 1), 12)
         assert str(raised.value) == str(expected.value)
 
-    def test_feasibility_predicate(self):
-        assert ProblemInstance((5, 6), (1, 1), 11).is_feasible()
-        assert not ProblemInstance((5, 6), (1, 1), 12).is_feasible()
+    def test_an_infeasible_instance_cannot_be_built(self):
+        assert ProblemInstance((5, 6), (1, 1), 11).demand == 11
+        with pytest.raises(InfeasibleError) as raised:
+            ProblemInstance((5, 6), (1, 1), 12)
+        assert raised.value.deficit == 1
+        with pytest.raises(InfeasibleError, match=f"demand {10**40} exceeds total capacity 11"):
+            ProblemInstance((5, 6), (1, 1), 10**40)
+        # A broken condition is reported before infeasibility, as in a block.
+        with pytest.raises(InvalidParameterError, match="total capacity exceeds"):
+            ProblemInstance((10**40,), (1,), 10**41)

@@ -1,8 +1,11 @@
-"""The README's *Library use* block runs and its commented values hold."""
+"""The README's *Library use* block runs and its commented values hold, and its
+`dcknap solve` example prints what it shows."""
 
 import re
 from fractions import Fraction
 from pathlib import Path
+
+from dcknap.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +22,11 @@ def test_library_use_block_runs_as_commented():
     for name, value in expected.items():
         assert getattr(triple, name) == Fraction(value)
     assert namespace["series"].dps[0] == triple.dps
+
+
+def test_solve_example_prints_its_shown_output(monkeypatch, capsys):
+    text = README.read_text()
+    command, shown = re.search(r"```sh\n\$ dcknap (solve .*?)\n(.*?)```", text, re.S).groups()
+    monkeypatch.chdir(README.parent)
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == shown
