@@ -34,6 +34,7 @@ from .dctree import (
     split_demand,
     to_dot,
 )
+from .bounds import Bounds, Undecided
 from .metrics import (
     ALL_METRICS,
     EFFICIENCY_METRICS,

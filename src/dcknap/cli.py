@@ -20,10 +20,12 @@ import io
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
+from .bounds import Undecided
 from .dctree import BALANCED, HEAD_LEFT, ROUNDING_MODES, TREE_ALGORITHMS, build_tree, to_dot
 from .errors import ConfigError, InfeasibleError, InvalidParameterError
 from .metrics import (
@@ -146,11 +148,12 @@ def cmd_solve(args) -> int:
 
 def cmd_tree(args) -> int:
     """The membership table, each row built from the vertices holding its room only."""
+    sort = _sort_criterion(args.sort, args.sort_seed)  # a bad seed exits 2 before the column is read
     _, instance = _load_column(args)
     tree = build_tree(
         instance,
         args.tree,
-        _sort_criterion(args.sort, args.sort_seed),
+        sort,
         fraction=args.fraction,
         min_size=args.min_size,
         rounding=args.rounding,
@@ -291,84 +294,101 @@ def _height_table(columns):
 _L1_NORMS = (("all", EFFICIENCY_METRICS), ("gbe_dps", ("GbE_DPS",)))
 
 
-def _critical_heights(results, aggregation="mean"):
-    """Per-metric critical heights of a sweep, plus their mode.
+def _critical_heights(series, aggregation="mean"):
+    """Per-metric critical heights of a sweep, from the series of each swept
+    value, plus their mode.
 
     Columns are truncated to the smallest height shared by every swept
     value, so slopes stay comparable across the domain.
     """
-    shared = min(result.average.height for result in results.values())
+    shared = min(s.height for s in series.values())
     heights = {}
     for name in EFFICIENCY_METRICS:
         start = metric_start_height(name)
         length = shared - start + 1
         if length < 3:
             continue  # too short to ever observe a doubling
-        columns = {v: results[v].average.metric(name)[:length] for v in results}
+        columns = {v: s.metric(name)[:length] for v, s in series.items()}
         heights[name] = critical_height(columns, aggregation) + start
     mode = critical_height_mode(list(heights.values())) if heights else None
     return heights, mode
 
 
-def cmd_experiment(args) -> int:
-    config = parse_config(Path(args.config).read_text())
-    params, algorithms, sweep_var = config.params, config.algorithms, config.sweep
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def _experiment_files(config: ExperimentConfig, runs, value) -> dict[str, list]:
+    """Every file of an experiment out-dir, by name, as CSV rows, from the
+    series `value(result)` of each result of `runs` ({algorithm: {swept
+    value: result}}): `Bounds` raise `Undecided` where they cannot decide
+    a cell or a comparison."""
+    files = {}
     plot_rows = [["tree_alg", "strategy", "metric", "height", "value"]]
     per_alg = {}
-    for algorithm in algorithms:
-        alg_params = _params_for(params, algorithm)
-        if sweep_var is None:
-            result = run_experiment(alg_params)
-            columns = [(m, metric_start_height(m), result.average.metric(m)) for m in ALL_METRICS]
-            _write_csv(out_dir / f"average_{algorithm}.csv", _height_table(columns))
-            results = {"-": result}
+    for algorithm, results in runs.items():
+        series = {v: value(result) for v, result in results.items()}
+        if config.sweep is None:
+            (average,) = series.values()
+            columns = [(m, metric_start_height(m), average.metric(m)) for m in ALL_METRICS]
+            files[f"average_{algorithm}.csv"] = _height_table(columns)
         else:
-            results = sweep(alg_params, sweep_var)
             for name in ALL_METRICS:
                 start = metric_start_height(name)
-                table = _height_table(
-                    [(_value_label(v), start, r.average.metric(name)) for v, r in results.items()]
-                )
-                _write_csv(out_dir / f"avg_{algorithm}_{name}.csv", table)
-            heights, mode = _critical_heights(results, config.aggregation)
+                table = _height_table([(_value_label(v), start, s.metric(name)) for v, s in series.items()])
+                files[f"avg_{algorithm}_{name}.csv"] = table
+            heights, mode = _critical_heights(series, config.aggregation)
             rows = [["metric", "critical_height"]]
             rows += [[name, h] for name, h in heights.items()]
             rows.append(["mode", mode if mode is not None else ""])
-            _write_csv(out_dir / f"critical_heights_{algorithm}.csv", rows)
+            files[f"critical_heights_{algorithm}.csv"] = rows
             if mode is not None:
                 rows = [["value", *(f"norm_{norm}" for norm, _ in _L1_NORMS)]]
-                for v, result in results.items():
-                    arrays = (efficiency_array(result.average, names, mode) for _, names in _L1_NORMS)
+                for v, s in series.items():
+                    arrays = (efficiency_array(s, names, mode) for _, names in _L1_NORMS)
                     rows.append([_value_label(v), *(format_2dec(l1_norm(a)) for a in arrays)])
-                _write_csv(out_dir / f"l1_norms_{algorithm}.csv", rows)
-            per_alg[algorithm] = (results, mode)
-        for v, result in results.items():
+                files[f"l1_norms_{algorithm}.csv"] = rows
+            per_alg[algorithm] = (series, mode)
+        for v, s in series.items():
             strategy = _value_label(v)  # "-" when nothing is swept
             for name in ALL_METRICS:
                 start = metric_start_height(name)
-                for h, value in enumerate(result.average.metric(name), start=start):
-                    plot_rows.append([algorithm, strategy, name, h, format_2dec(value)])
+                for h, cell in enumerate(s.metric(name), start=start):
+                    plot_rows.append([algorithm, strategy, name, h, format_2dec(cell)])
 
-    if sweep_var is not None and len(algorithms) == 2:
-        modes = [per_alg[a][1] for a in algorithms]
+    if config.sweep is not None and len(runs) == 2:
+        modes = [mode for _, mode in per_alg.values()]
         if all(m is not None for m in modes):
             h_tilde = min(modes)
-            first, second = (per_alg[a][0] for a in algorithms)
-            labels = (*algorithms, "winner")
+            first, second = (series for series, _ in per_alg.values())
+            labels = (*config.algorithms, "winner")
             rows = [["value", *(f"{label}_{norm}" for norm, _ in _L1_NORMS for label in labels)]]
             for v in first:
                 row = [_value_label(v)]
                 for _, names in _L1_NORMS:
-                    arrays = (efficiency_array(side[v].average, names, h_tilde) for side in (first, second))
-                    cmp = l1_compare(*arrays, labels=algorithms)
+                    arrays = (efficiency_array(side[v], names, h_tilde) for side in (first, second))
+                    cmp = l1_compare(*arrays, labels=config.algorithms)
                     row += [format_2dec(cmp.norm_a), format_2dec(cmp.norm_b), cmp.winner]
                 rows.append(row)
-            _write_csv(out_dir / "l1_comparison.csv", rows)
+            files["l1_comparison.csv"] = rows
 
-    _write_csv(out_dir / "plot_data.csv", plot_rows)
+    files["plot_data.csv"] = plot_rows
+    return files
+
+
+def cmd_experiment(args) -> int:
+    """Run the config's experiments, render every file from their bounds,
+    or from their exact averages where any bound cannot decide, and write
+    each file once."""
+    config = parse_config(Path(args.config).read_text())
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs = {}
+    for algorithm in config.algorithms:
+        params = _params_for(config.params, algorithm)
+        runs[algorithm] = sweep(params, config.sweep) if config.sweep else {"-": run_experiment(params)}
+    try:
+        files = _experiment_files(config, runs, attrgetter("bounds"))
+    except Undecided:  # an exact tie, or a mean on a rounding edge
+        files = _experiment_files(config, runs, attrgetter("average"))
+    for name, rows in files.items():
+        _write_csv(out_dir / name, rows)
     print(f"experiment outputs written to {out_dir}")
     return 0
 

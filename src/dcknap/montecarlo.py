@@ -8,10 +8,12 @@ floor(occupancy * total capacity).
 Every random stream is derived from a single master seed with a stable
 SHA-256 construction, so experiments are reproducible byte for byte.  An
 experiment draws its realizations one index at a time and solves them in
-blocks of consecutive indices, one array pass per block.  Means are exact,
-so an experiment's memory and averaging time grow with its realization
-count by design: an averaged `SwE_LRS` cell gains about 150 bits of
-denominator per realization.
+blocks of consecutive indices, one array pass per block, and folds each
+block into per-cell sums: exact ints for DPS and GAS, float64 bounds for
+the rest.  So its memory does not grow with the realization count.  Exact
+means, whose denominators gain about 150 bits per realization, are built
+only on request, by replaying the realizations: seeding is per index, so a
+replay is exact.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .bounds import down
 from .dctree import HEAD_LEFT, TreeParams, block_rows, build_block
 from .dctree import build_tree  # noqa: F401  a binding perfbench/spans.py traces
 from .errors import InvalidParameterError
-from .metrics import EfficiencySeries, average_sums, solve_trees, tree_series
+from .metrics import EfficiencySeries, average_sums, block_bounds, bounds_series, solve_trees, tree_series
 from .metrics import average_series, solve_tree  # noqa: F401  bindings perfbench/spans.py traces
 from .model import (
     MAX_TOTAL_CAPACITY,
@@ -189,18 +192,40 @@ class ExperimentParams:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    average: EfficiencySeries
-    sums: tuple[tuple, ...]  # of `solve_trees`, per realization in index order
+    """An experiment's `Bounds` on the exact mean of each cell, which decide
+    what it prints wherever they can (`bounds`), and on first read its
+    exact values, from a replay of its realizations: `sums` (of
+    `solve_trees`, per realization in index order), the `average` and the
+    per-tree `series`."""
+
+    params: ExperimentParams
+    bounds: EfficiencySeries
+
+    @cached_property
+    def sums(self) -> tuple[tuple, ...]:
+        return tuple(sums for indices in _blocks(self.params) for sums in _exact_sums(self.params, indices))
+
+    @cached_property
+    def average(self) -> EfficiencySeries:
+        return average_sums(self.sums)
 
     @cached_property
     def series(self) -> tuple[EfficiencySeries, ...]:
         return tuple(tree_series(sums) for sums in self.sums)
 
 
-def _realization_series(params: ExperimentParams, indices: range) -> list[tuple]:
-    """Per-height sums of the realizations `indices`, as one block of
-    same-shape trees: each is drawn as `seeded_realization` draws it, then
-    all are checked, ranked, sorted, split, solved and summed together.
+def _blocks(params: ExperimentParams):
+    """The realization indices of each block, in order: as many trees as
+    `block_rows` allows."""
+    rows = block_rows(params.tree, params.n_rooms)
+    for first in range(0, params.realizations, rows):
+        yield range(first, min(first + rows, params.realizations))
+
+
+def _block(params: ExperimentParams, indices: range):
+    """The realizations `indices` as one block of same-shape trees: each is
+    drawn as `seeded_realization` draws it, then all are checked, ranked,
+    sorted and split together.
 
     A split never overloads a child (see `split_demand`), so every draw is
     used.  The 0 in the sort seed is part of the seed format, as in
@@ -220,25 +245,39 @@ def _realization_series(params: ExperimentParams, indices: range) -> list[tuple]
         seeds = [derive_seed(params.master_seed, i, 0, "sort") for i in indices]
     else:
         seeds = [params.sort.seed] * len(indices)
-    block = build_block(
+    return build_block(
         capacities, proctors, weight_ranks(capacities, proctors), demands, params.tree, seeds
     )
-    return solve_trees(block)
+
+
+def _realization_series(params: ExperimentParams, indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """The `block_bounds` sums of the realizations `indices`, solved as one block."""
+    return block_bounds(_block(params, indices))
+
+
+def _exact_sums(params: ExperimentParams, indices: range) -> list[tuple]:
+    """The `solve_trees` sums of the realizations `indices`: the replay."""
+    return solve_trees(_block(params, indices))
 
 
 def run_experiment(params: ExperimentParams) -> ExperimentResult:
-    """Run all realizations of one experiment and average the series.
+    """Run all realizations of one experiment and bound the mean of every
+    cell.
 
-    Realizations are solved in blocks of consecutive indices (`block_rows`),
-    so the arrays depend on the block; what stays until the average is a
-    few integer sums per tree.  Output is a pure function of `params`:
-    realizations are seeded by index and reduced in index order.
+    Realizations are solved in blocks of consecutive indices (`_blocks`),
+    and each block's sums are added to the last in index order, so memory
+    is one block's arrays and a few sums per cell.  Output is a pure
+    function of `params`: realizations are seeded by index.  The exact
+    sums are Python ints: no count overflows them.
     """
-    rows = block_rows(params.tree, params.n_rooms)
-    sums = []
-    for first in range(0, params.realizations, rows):
-        sums += _realization_series(params, range(first, min(first + rows, params.realizations)))
-    return ExperimentResult(average_sums(sums), tuple(sums))
+    exact = pairs = None
+    for indices in _blocks(params):
+        block_exact, block_pairs = _realization_series(params, indices)
+        if exact is None:
+            exact, pairs = block_exact.astype(object), block_pairs
+        else:
+            exact, pairs = exact + block_exact, down(pairs + block_pairs)
+    return ExperimentResult(params, bounds_series(exact, pairs, params.realizations))
 
 
 def _with_value(params: ExperimentParams, variable: str, value) -> ExperimentParams:

@@ -1,8 +1,9 @@
 """Exact rational helpers and the 2-decimal display rounding used in tables.
 
-All published table values are round-half-up renderings of exact rationals,
-so every quantity that can be fractional is kept as a Fraction until the
-moment it is printed.
+All published table values are round-half-up renderings of exact rationals.
+A value is printed from an exact Fraction or int, or from `bounds.Bounds`
+on it whose two ends render alike; bounds that straddle a rounding edge
+raise `bounds.Undecided`, so a caller can print the exact value instead.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from numbers import Rational
+
+from .bounds import Bounds, decided
 
 #: Largest decimal exponent magnitude accepted in text such as "1e-3";
 #: Fraction would compute 10**exponent, which stalls on a huge one.
@@ -61,11 +64,25 @@ def format_2dec(value) -> str:
     """Render a number the way the result tables print it: 2 decimals,
     rounded as `round_half_up` rounds, in integers.
 
-    round(|x| * 100) half up is floor((200 * |n| + d) / (2 * d)) for
-    x = n / d, and the sign is printed only when that is not 0.
+    `Bounds` render when both ends, each an exact ratio of ints, round to
+    the same hundredths: rounding is monotone, so every value between them
+    renders so too.  Otherwise they raise `Undecided`.
     """
-    x = value if isinstance(value, Rational) else as_fraction(value)
-    n, d = x.numerator, x.denominator
+    if isinstance(value, Bounds):
+        n, d = value.lo.as_integer_ratio()
+        q = _hundredths(n, d * value.count)
+        if value.hi != value.lo:
+            n, d = value.hi.as_integer_ratio()
+            q = decided(q, _hundredths(n, d * value.count))
+    else:
+        x = value if isinstance(value, Rational) else as_fraction(value)
+        q = _hundredths(x.numerator, x.denominator)
+    return f"{'-' if q < 0 else ''}{abs(q) // 100}.{abs(q) % 100:02d}"
+
+
+def _hundredths(n: int, d: int) -> int:
+    """round(100 * n / d) for d > 0, halves away from 0: round(|x| * 100)
+    half up is floor((200 * |n| + d) / (2 * d)) for x = n / d, so the sign
+    is printed only when that is not 0."""
     q = (abs(n) * 200 + d) // (2 * d)
-    sign = "-" if n < 0 and q else ""
-    return f"{sign}{q // 100}.{q % 100:02d}"
+    return -q if n < 0 else q

@@ -27,6 +27,9 @@ from dcknap import (
     run_experiment,
     sweep,
 )
+import dcknap.bounds
+import dcknap.montecarlo
+import dcknap.rounding
 import dcknap.solvers
 from dcknap.cli import _critical_heights, main, parse_config
 from dcknap.dctree import ROUNDING_MODES, TREE_ALGORITHMS
@@ -378,6 +381,12 @@ class TestTree:
         assert err == "error: demand 100000 exceeds total capacity 704 by 99296\n"
         assert not dot.exists()
 
+    def test_bad_sort_seed_exits_2_before_the_column_is_read(self, rooms_csv, tmp_path, capsys):
+        edited = infeasible_first_column(rooms_csv, tmp_path)
+        code, out, err = run(capsys, "tree", str(edited), "--sort", "random", "--sort-seed=-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sort seed must be >= 0")
+
     def test_ambiguous_label_exits_2(self, tmp_path, capsys):
         code, out, err = run(capsys, "tree", str(twin_labels(tmp_path)), "--column", "x")
         assert code == 2 and out == ""
@@ -531,6 +540,81 @@ class TestParseConfig:
             parse_config("aggregation=median\n")
 
 
+def out_dir_files(tmp_path, config_text, name="out"):
+    """{file name: bytes} of the out-dir of one `dcknap experiment` run."""
+    config = tmp_path / f"{name}.txt"
+    config.write_text(config_text)
+    with redirect_stdout(io.StringIO()):
+        assert main(["experiment", str(config), "--out-dir", str(tmp_path / name)]) == 0
+    return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+
+class TestCertifiedOutputs:
+    """`dcknap experiment` prints from bounds on the exact means, and from a
+    replay of the exact means wherever a bound cannot decide."""
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        calls = []
+        replay = dcknap.montecarlo._exact_sums
+        monkeypatch.setattr(dcknap.montecarlo, "_exact_sums", lambda *a: calls.append(a) or replay(*a))
+        return calls
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "n_rooms=24\ntree_alg=both\nsweep=o\nmin_size=2\nrealizations=3\nmaster_seed=4\n",
+            "n_rooms=40\ndist=poisson\nsweep=s\naggregation=max\nrealizations=3\nmaster_seed=9\n",
+            "n_rooms=30\nrounding=floor\nmin_size=2\nrealizations=5\nmaster_seed=6\n",
+        ],
+        ids=["both-o", "s-max", "floor"],
+    )
+    def test_undecided_bounds_fall_back_to_the_same_files(self, tmp_path, monkeypatch, replays, config):
+        decided = out_dir_files(tmp_path, config, "decided")
+        assert replays == []
+
+        def undecided(low, high):
+            raise dcknap.bounds.Undecided
+
+        for module in (dcknap.bounds, dcknap.rounding):
+            monkeypatch.setattr(module, "decided", undecided)
+        assert out_dir_files(tmp_path, config, "replayed") == decided
+        assert replays
+
+    @pytest.mark.parametrize(
+        "config, file, line",
+        [
+            # SwE_GAS at height 2 is 25/8 exactly: a mean on a rounding edge.
+            ("n_rooms=14\nrealizations=4\nmin_size=2\nmaster_seed=39\n", "average_hlT.csv", "2,"),
+            # GbE_DPS norms of 11.60 on both trees at the proctors sort.
+            (
+                "n_rooms=19\nrealizations=2\nmin_size=2\ntree_alg=both\nsweep=s\nmaster_seed=97\n",
+                "l1_comparison.csv",
+                "proctors,",
+            ),
+        ],
+        ids=["rounding-edge", "l1-tie"],
+    )
+    def test_exact_ties_render_from_the_replay(self, tmp_path, replays, config, file, line):
+        text = out_dir_files(tmp_path, config)[file].decode()
+        assert replays
+        row = next(row for row in text.splitlines() if row.startswith(line)).split(",")
+        if file == "l1_comparison.csv":
+            assert row[-3:] == ["11.60", "11.60", "tie"]
+        else:
+            header = text.splitlines()[0].split(",")
+            assert row[header.index("SwE_GAS")] == "3.13"  # half up
+
+    def test_benchmark_configs_need_no_replay(self, tmp_path, replays):
+        out_dir_files(tmp_path, "n_rooms=512\nrealizations=50\nmaster_seed=2024\n", "ref_hlT")
+        out_dir_files(
+            tmp_path,
+            "n_rooms=1024\ndist=binomial\noccupancy=0.3\nmin_size=32\nrealizations=2\nsweep=s\nmaster_seed=2024\n",
+            "dp_heavy",
+        )
+        assert replays == []
+
+
 class TestExperiment:
     def test_smoke_run(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
@@ -682,12 +766,13 @@ class TestExperiment:
         # Height 2: GbE series cover heights 0..2, SwE series only 1..2.
         params = ExperimentParams(n_rooms=8, min_size=2, realizations=1, master_seed=3)
         results = sweep(params, "r", domain=(34, 54))
-        assert {r.average.height for r in results.values()} == {2}
-        heights, mode = _critical_heights(results)
+        series = {v: r.average for v, r in results.items()}
+        assert {s.height for s in series.values()} == {2}
+        heights, mode = _critical_heights(series)
         assert sorted(heights) == sorted(n for n in EFFICIENCY_METRICS if not n.startswith("SwE"))
         assert mode is not None
         with pytest.raises(InvalidParameterError, match="aggregation"):
-            _critical_heights(results, "median")
+            _critical_heights(series, "median")
 
     @settings(max_examples=60, deadline=None)
     @given(

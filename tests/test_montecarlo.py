@@ -238,8 +238,8 @@ class TestRunExperiment:
         for name in ("build_tree", "solve_tree", "build_block", "solve_trees"):
             spy(montecarlo, name, name)
         params = ExperimentParams(n_rooms=64, tree_alg=tree_alg, realizations=3, master_seed=5)
-        assert run_experiment(params).average.height >= 3
-        assert calls == ["build_block", "DCTree", "solve_trees"]  # one block of 3 trees
+        assert run_experiment(params).bounds.height >= 3
+        assert calls == ["build_block", "DCTree"]  # one block of 3 trees
         # The spy counts: the DCNode view of a tree is built on first use.
         calls.clear()
         tree = build_tree(build_instance(make_realization("uniform", 64, 1, 5), 54), tree_alg, params.sort)
@@ -277,6 +277,17 @@ def experiments(draw):
     )
 
 
+def _with_demand(params, zero_demand):
+    """Demand 0 makes every sum of a tree 0, DPS(0) included, so its growth
+    and gap cells fall to the zero rule; one room at occupancy 1/100 gives
+    demand 0 to some trees of a block and 1 to the others."""
+    if zero_demand == "every":
+        return replace(params, occupancy=Fraction(1, 10**6))
+    if zero_demand == "some":
+        return replace(params, n_rooms=1, occupancy=Fraction(1, 100))
+    return params
+
+
 class TestBlocks:
     """run_experiment solves its realizations in blocks of same-shape trees;
     the results must be those of one tree at a time."""
@@ -285,44 +296,41 @@ class TestBlocks:
     @given(experiments(), st.sampled_from((1, 2, 3)))
     @example(replace(SMALL, realizations=5, sort=SortCriterion("random")), 3)  # a seed per row
     def test_blocks_match_one_tree_at_a_time(self, params, rows):
-        blocks = []
-        solve = montecarlo._realization_series
+        blocks, replayed = [], []
+        solve, replay = montecarlo._realization_series, montecarlo._exact_sums
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "BLOCK_ROOMS", rows * _flat_rooms(params))
             mp.setattr(montecarlo, "_realization_series", lambda p, i: blocks.append(len(i)) or solve(p, i))
+            mp.setattr(montecarlo, "_exact_sums", lambda p, i: replayed.append(len(i)) or replay(p, i))
             result = run_experiment(params)
+            result_average, result_series = result.average, result.series  # replayed in the same blocks
         count = params.realizations
-        assert blocks == [rows] * (count // rows) + [count % rows] * (count % rows > 0)
+        assert blocks == replayed == [rows] * (count // rows) + [count % rows] * (count % rows > 0)
         series = tuple(reference_realization_series(params, i) for i in range(count))
         average = average_series(series)
-        assert result.average == average and repr(result.average) == repr(average)
-        assert result.series == series and repr(result.series) == repr(series)  # ints stay ints
+        assert result_average == average and repr(result_average) == repr(average)
+        assert result_series == series and repr(result_series) == repr(series)  # ints stay ints
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(experiments(), st.sampled_from((1, 2, 3)), st.sampled_from((None, "every", "some")))
     @example(replace(SMALL, n_rooms=1, realizations=9), 2, "some")
     def test_integer_means_equal_the_fraction_means(self, params, rows, zero_demand):
-        # Demand 0 makes every sum of a tree 0, DPS(0) included, so its growth
-        # and gap cells fall to the zero rule; one room at occupancy 1/100
-        # gives demand 0 to some trees of a block and 1 to the others.
-        if zero_demand == "every":
-            params = replace(params, occupancy=Fraction(1, 10**6))
-        elif zero_demand == "some":
-            params = replace(params, n_rooms=1, occupancy=Fraction(1, 100))
+        params = _with_demand(params, zero_demand)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "BLOCK_ROOMS", rows * _flat_rooms(params))
             result = run_experiment(params)
+            result_average, result_series = result.average, result.series  # replayed in the same blocks
         series = tuple(reference_realization_series(params, i) for i in range(params.realizations))
-        assert result.series == series and repr(result.series) == repr(series)
-        for tree in result.series:
+        assert result_series == series and repr(result_series) == repr(series)
+        for tree in result_series:
             expected = fraction_series(tree.lrs, tree.dps, tree.gas)
             assert tree == expected and repr(tree) == repr(expected)
-        average = average_series(result.series)
-        assert result.average == average and repr(result.average) == repr(average)
+        average = average_series(result_series)
+        assert result_average == average and repr(result_average) == repr(average)
 
     def test_builds_no_fraction_per_tree(self, monkeypatch):
-        # Only the average's cells are Fractions, one each: ten times the
-        # trees build the same number.
+        # The bounds are floats and ints: no Fraction at any count, until
+        # the exact average is read.
         params = ExperimentParams(n_rooms=64, master_seed=5)
         runs = [replace(params, realizations=count) for count in (3, 30)]
         counts = []
@@ -337,11 +345,43 @@ class TestBlocks:
             counts.append(0)
             run_experiment(run)
         monkeypatch.undo()
-        assert counts[0] == counts[1] > 0
+        assert counts == [0, 0]
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(experiments(), st.sampled_from((1, 2, 3)), st.sampled_from((None, "every", "some")))
+    @example(replace(SMALL, n_rooms=1, realizations=9), 2, "some")
+    def test_bounds_hold_the_exact_means(self, params, rows, zero_demand):
+        params = _with_demand(params, zero_demand)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "BLOCK_ROOMS", rows * _flat_rooms(params))
+            result = run_experiment(params)
+            average = result.average
+        for name in metrics.ALL_METRICS:
+            cells = zip(result.bounds.metric(name), average.metric(name), strict=True)
+            for bound, mean in cells:
+                assert bound.count == params.realizations
+                assert Fraction(bound.lo) / bound.count <= mean <= Fraction(bound.hi) / bound.count
+                if name in ("DPS", "GAS"):
+                    assert Fraction(bound.lo, bound.count) == mean == Fraction(bound.hi, bound.count)
+
+    def test_repr_needs_no_replay(self, monkeypatch):
+        # The fields are the params and the bounds, floats and ints.  The
+        # exact average of 200 realizations would not print: its ints pass
+        # Python's 4,300-digit limit of int-to-str conversion.
+        result = run_experiment(ExperimentParams(realizations=200, master_seed=2024))
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        text = repr(result)
+        monkeypatch.undo()
+        assert built == [] and "sums" not in vars(result)
+        assert text.startswith("ExperimentResult(params=ExperimentParams(") and "Bounds(lo=" in text
 
     def test_memory_does_not_grow_with_realizations(self):
-        # Each realization adds only its integer sums (about 1.3 KiB here) to
-        # the peak; one block of all 64 trees would add about 17 MiB.
+        # Each block is folded into a few sums per cell: the peak is one
+        # block's arrays.  Keeping each tree's int sums (about 1.3 KiB
+        # here) until an exact average adds about 80 KiB; one block of all
+        # 64 trees would add about 17 MiB.
         params = ExperimentParams(n_rooms=512, master_seed=2024)
         run_experiment(replace(params, realizations=1))  # the shared tree shape
         peaks = {}
@@ -352,7 +392,7 @@ class TestBlocks:
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[64] < peaks[4] + (1 << 18)
+        assert peaks[64] < peaks[4] + (1 << 15)
 
     def test_outputs_do_not_depend_on_earlier_runs(self, tmp_path, capsys):
         # The benchmark's two configs and a blT occupancy grid, forward and
